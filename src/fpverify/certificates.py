@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .presentation import Presentation, _cyclic_class_key
-from .words import Word
+from .words import GEN_NAME_RE, Word, _product, _reduced
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,29 @@ class Certificate:
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":
-        factors = tuple(
-            Factor(Word([(g, e) for g, e in f["conjugator"]]),
-                   f["relator"], f["sign"])
-            for f in data["factors"])
-        return Certificate(Word([(g, e) for g, e in data["target"]]), factors)
+        """Load a certificate, checking JSON types as the certificate schema
+        does (a JSON bool is not an integer); raises ValueError."""
+        return Certificate(_word_from_json(data["target"]),
+                           tuple(_factor_from_json(f) for f in data["factors"]))
+
+
+def _factor_from_json(f: dict) -> Factor:
+    relator, sign = f["relator"], f["sign"]
+    if type(relator) is not int or relator < 0:
+        raise ValueError(f"relator must be an integer >= 0, got {relator!r}")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    return Factor(_word_from_json(f["conjugator"]), relator, sign)
+
+
+def _word_from_json(pairs: list) -> Word:
+    letters = []
+    for pair in pairs:
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+                and type(pair[1]) is int and GEN_NAME_RE.match(pair[0])):
+            raise ValueError(f"word letter must be [name, 1 or -1], got {pair!r}")
+        letters.append((pair[0], pair[1]))
+    return Word(letters)  # rejects exponents other than +-1
 
 
 class NotFound(Exception):
@@ -62,17 +80,22 @@ class NotFound(Exception):
 
 
 def certificate_product(relators: tuple[Word, ...], cert: Certificate) -> Word:
-    out = Word.identity()
-    for f in cert.factors:
+    """The product of the certificate's conjugated relators, freely reduced
+    in one stack pass over all factors."""
+    return _product(_factor_words(relators, cert.factors))
+
+
+def _factor_words(relators: tuple[Word, ...], factors):
+    """u, r^sign, u^-1 for each factor in turn."""
+    for f in factors:
         if not 0 <= f.relator_index < len(relators):
             raise IndexError(f"relator index {f.relator_index} out of range")
         if f.sign not in (1, -1):
             raise ValueError(f"factor sign must be +-1, got {f.sign}")
         r = relators[f.relator_index]
-        if f.sign == -1:
-            r = r.inverse()
-        out = out * r.conjugated_by(f.conjugator)
-    return out
+        yield f.conjugator
+        yield r if f.sign == 1 else r.inverse()
+        yield f.conjugator.inverse()
 
 
 def verify_certificate(p: Presentation, cert: Certificate) -> bool:
@@ -188,10 +211,11 @@ def search_certificate(p: Presentation, target: Word,
             for i in occ.get((tail[0], -tail[1]), ()):
                 positions.add(i)
             for pos in positions:
-                new = Word(letters[:pos] + rot.letters + letters[pos:])
+                head = _reduced(letters[:pos])
+                new = head * rot * _reduced(letters[pos:])
                 if len(new) > max_len:
                     continue
-                conj = Word(letters[:pos]) * z
+                conj = head * z
                 if len(conj) > max_conjugator_len:
                     continue
                 key = new.letters
@@ -273,6 +297,7 @@ class _ProvingTable:
     def __init__(self, p: Presentation, max_cosets: int,
                  novelty_keys: set | None = None):
         self.relators = [r.letters for r in p.relators]
+        self.symbols = [(_rel_symbol(k), 1) for k in range(len(self.relators))]
         self.letters = [(g, 1) for g in p.generators] \
             + [(g, -1) for g in p.generators]
         self.novelty_keys = novelty_keys
@@ -320,7 +345,7 @@ class _ProvingTable:
         if self.live >= self.max_cosets:
             raise NotFound(f"coset limit {self.max_cosets} exceeded")
         b = len(self.words)
-        self.words.append(self.words[a] * Word([letter]))
+        self.words.append(self.words[a] * _reduced((letter,)))
         self.tab[(a, letter)] = (b, Word.identity())
         self.tab[(b, (letter[0], -letter[1]))] = (a, Word.identity())
         self.live += 1
@@ -337,7 +362,7 @@ class _ProvingTable:
             rb, cb = self.find(b)
             if ra == rb:
                 continue
-            bridge = ca.inverse() * proof * cb  # proves W(ra)*W(rb)^-1
+            bridge = _product((ca.inverse(), proof, cb))  # W(ra)*W(rb)^-1
             if self.novelty_keys is not None:
                 # surface the trivial word behind this coincidence if it is
                 # not already a relator (used for collapse-ladder mining;
@@ -374,48 +399,65 @@ class _ProvingTable:
             return
         r = self.relators[ridx]
         n = len(r)
+        tab = self.tab
+        merged = self.merged
         g = start
-        forward = Word.identity()
+        forward: list[Word] = []  # entry proofs, composed only when used
         i = 0
         while i < n:
-            entry = self.get(g, r[i])
+            entry = tab.get((g, r[i]))
             if entry is None:
                 break
+            if entry[0] in merged:
+                entry = self.get(g, r[i])
             g, c = entry
-            forward = forward * c
+            forward.append(c)
             i += 1
-        w = self.words[start]
-        rel_factor = Word(w.letters + ((_rel_symbol(ridx), 1),)) * w.inverse()
         if i == n:
             # closed all the way round; g must coincide with start
             if g != start:
-                self.merge(g, start, forward.inverse() * rel_factor)
+                self.merge(g, start, self._scan_proof(forward, start, ridx, ()))
             else:
                 self.closed.add((start, ridx))
             return
         b = start
-        backward = Word.identity()
+        backward: list[Word] = []
         j = n
         while j > i:
             letter = r[j - 1]
-            entry = self.get(b, (letter[0], -letter[1]))
+            letter = (letter[0], -letter[1])
+            entry = tab.get((b, letter))
             if entry is None:
                 break
+            if entry[0] in merged:
+                entry = self.get(b, letter)
             b, c = entry
-            backward = backward * c
+            backward.append(c)
             j -= 1
         if j == i:
             # both ends met with no gap: forward end g and backward end b
             # name the same coset
             if g != b:
-                self.merge(g, b, forward.inverse() * rel_factor * backward)
+                self.merge(g, b, self._scan_proof(forward, start, ridx, backward))
             return
         if j == i + 1:
-            proof = forward.inverse() * rel_factor * backward
+            proof = self._scan_proof(forward, start, ridx, backward)
             self.tab[(g, r[i])] = (b, proof)
             self.tab[(b, (r[i][0], -r[i][1]))] = (g, proof.inverse())
             self.enqueue(g)
             self.enqueue(b)
+
+    def _scan_proof(self, forward: list[Word], start: int, ridx: int,
+                    backward) -> Word:
+        """(prod forward)^-1 * W(start) @ridx W(start)^-1 * prod backward.
+
+        The middle factor needs no reduction: "@ridx" cancels against no
+        generator letter, so it is W(start) and its inverse side by side
+        with the symbol between them."""
+        w = self.words[start]
+        rel_factor = _reduced(w.letters + (self.symbols[ridx],) + w.inverse().letters)
+        return _product([*(c.inverse() for c in reversed(forward)),
+                         rel_factor, *backward])
 
     def drain(self) -> None:
         while self.pending:
@@ -456,16 +498,16 @@ class _ProvingTable:
     def trace(self, w: Word) -> Word:
         """Proof word whose expansion is w, valid once only coset 0 is live."""
         a = 0
-        proof = Word.identity()
+        proofs = []
         for letter in w.letters:
             entry = self.get(a, letter)
             if entry is None:  # cannot happen on a complete table
                 raise NotFound(f"incomplete table at {letter}")
             a, c = entry
-            proof = proof * c
+            proofs.append(c)
         if a != 0:
             raise NotFound(f"{w} does not return to the base coset")
-        return proof
+        return _product(proofs)
 
 
 @dataclass(frozen=True)
@@ -492,8 +534,9 @@ class Derivation:
 
     @staticmethod
     def from_json(data: dict) -> "Derivation":
+        """Load a derivation; raises ValueError on a mistyped field."""
         return Derivation(
-            Word([(g, e) for g, e in data["target"]]),
+            _word_from_json(data["target"]),
             tuple(Certificate.from_json(s) for s in data["steps"]))
 
 

@@ -35,7 +35,10 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 
-def _default_max_cosets() -> int:
+def _max_cosets(flag: int | None) -> int:
+    """--max-cosets if given, else FPVERIFY_MAX_COSETS, else the default."""
+    if flag is not None:
+        return flag
     env = os.environ.get("FPVERIFY_MAX_COSETS")
     if env is not None:
         try:
@@ -43,10 +46,27 @@ def _default_max_cosets() -> int:
             if value < 1:
                 raise ValueError
         except ValueError:
-            raise SystemExit(
-                f"FPVERIFY_MAX_COSETS must be a positive integer, got {env!r}")
+            print(f"error: FPVERIFY_MAX_COSETS must be a positive integer, "
+                  f"got {env!r}", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
         return value
     return DEFAULT_MAX_COSETS
+
+
+def _int_at_least(minimum: int):
+    """argparse type for an integer option >= minimum; argparse reports a
+    bad value and exits with EXIT_INPUT."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
+                from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _load(path: str, convention: str):
@@ -82,9 +102,8 @@ def cmd_tc(args) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: subgroup word: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    max_cosets = args.max_cosets or _default_max_cosets()
     result = enumerate_cosets(p, subgroup, strategy=args.strategy,
-                              max_cosets=max_cosets)
+                              max_cosets=_max_cosets(args.max_cosets))
     _emit(result.to_json())
     return EXIT_PASS if result.completed else EXIT_LIMIT
 
@@ -142,7 +161,7 @@ def _print_report(report, as_json: bool) -> None:
 
 
 def cmd_verify(args) -> int:
-    max_cosets = args.max_cosets or _default_max_cosets()
+    max_cosets = _max_cosets(args.max_cosets)
     try:
         if args.all:
             reports = run_all(convention=args.convention,
@@ -187,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tc", help="run Todd-Coxeter coset enumeration")
     p.add_argument("path")
     p.add_argument("--strategy", choices=STRATEGIES, default="hlt-lookahead")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_int_at_least(1), default=None)
     p.add_argument("--subgroup", action="append", default=[],
                    metavar="WORD", help="subgroup generator (repeatable)")
     p.set_defaults(fn=cmd_tc)
@@ -198,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplify", help="greedy Tietze simplification")
     p.add_argument("path")
-    p.add_argument("--budget", type=int, default=1000)
+    p.add_argument("--budget", type=_int_at_least(0), default=1000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_simplify)
 
@@ -218,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                            s.id for s in list_scenarios()))
     group.add_argument("--all", action="store_true")
     p.add_argument("--strategy", choices=STRATEGIES, default="hlt-lookahead")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_int_at_least(1), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
     return parser

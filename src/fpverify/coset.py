@@ -107,9 +107,6 @@ class CosetTable:
             p[k], k = r, p[k]
         return r
 
-    def is_live(self, k: int) -> bool:
-        return self.p[k] == k
-
     def live_cosets(self) -> list[int]:
         return [i for i in range(len(self.table)) if self.p[i] == i]
 

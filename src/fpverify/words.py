@@ -4,6 +4,14 @@ A word is an immutable, always freely reduced sequence of letters
 ``(generator_name, exponent)`` with exponent +1 or -1.  Powers such as
 ``q^-2`` are expanded into repeated letters at construction time; power
 compression is purely a printing concern.
+
+Input enters through ``Word(letters)``, ``Word.gen`` and ``Word.from_pairs``,
+which check exponents and reduce in full.  Arithmetic on words relies on
+the invariant that every ``Word`` is already reduced: in a product ``u * v``
+only the seam between u's tail and v's head can cancel, so ``*``,
+``inverse`` and ``conjugated_by`` cancel at the seam (or not at all) and
+wrap the result without another pass over its letters.  ``_product`` does
+the same for a whole sequence of words in one stack pass.
 """
 
 from __future__ import annotations
@@ -102,10 +110,22 @@ class Word:
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        a = self.letters
+        b = other.letters
+        if not a:
+            return other
+        if not b:
+            return self
+        i = len(a)
+        j = 0
+        n = len(b)
+        while i and j < n and a[i - 1][0] == b[j][0] and a[i - 1][1] == -b[j][1]:
+            i -= 1
+            j += 1
+        return _reduced(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word([(g, -e) for g, e in reversed(self.letters)])
+        return _reduced(tuple([(g, -e) for g, e in reversed(self.letters)]))
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -116,7 +136,7 @@ class Word:
 
     def conjugated_by(self, u: "Word") -> "Word":
         """u * self * u^-1."""
-        return Word(u.letters + self.letters + u.inverse().letters)
+        return u * self * u.inverse()
 
     def substitute(self, gen: str, replacement: "Word") -> "Word":
         """Replace every gen^e by replacement^e, then freely reduce."""
@@ -132,13 +152,13 @@ class Word:
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self == conjugator*core*conjugator^-1
         and core cyclically reduced."""
-        letters = list(self.letters)
-        prefix: list[Letter] = []
-        while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-                and letters[0][1] == -letters[-1][1]:
-            prefix.append(letters.pop(0))
-            letters.pop()
-        return Word(letters), Word(prefix)
+        a = self.letters
+        n = len(a)
+        k = 0
+        while n - 2 * k >= 2 and a[k][0] == a[n - 1 - k][0] \
+                and a[k][1] == -a[n - 1 - k][1]:
+            k += 1
+        return _reduced(a[k:n - k]), _reduced(a[:k])
 
     def cyclic_permutations(self) -> list["Word"]:
         """All rotations of a cyclically reduced word (self as given if not)."""
@@ -166,6 +186,36 @@ class Word:
             parts.append(g if total == 1 else f"{g}^{total}")
             i = j
         return " ".join(parts)
+
+
+_new_word = Word.__new__
+_set_letters = Word.letters.__set__
+
+
+def _reduced(letters: tuple[Letter, ...]) -> Word:
+    """Wrap a letter tuple already known to be freely reduced with
+    exponents +-1; nothing is checked."""
+    w = _new_word(Word)
+    _set_letters(w, letters)
+    return w
+
+
+def _product(words: Iterable[Word]) -> Word:
+    """Free reduction of the product of reduced words, in one stack pass:
+    each word cancels against the stack only at its head, and the rest of
+    it is pushed whole."""
+    stack: list[Letter] = []
+    pop = stack.pop
+    for w in words:
+        b = w.letters
+        j = 0
+        n = len(b)
+        while stack and j < n and stack[-1][0] == b[j][0] \
+                and stack[-1][1] == -b[j][1]:
+            pop()
+            j += 1
+        stack.extend(b[j:])
+    return _reduced(tuple(stack))
 
 
 _IDENTITY = Word()

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,14 @@ FINITE_BATTERY = (
 def battery_case(request):
     name, text, order = request.param
     return parse_presentation(text), order
+
+
+SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "schemas"
+
+
+def schema(name: str) -> dict:
+    with open(SCHEMAS / f"{name}-v1.schema.json", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def random_word(rng: random.Random, gens="abcde", max_len=64) -> Word:

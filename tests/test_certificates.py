@@ -1,5 +1,7 @@
+import copy
 import random
 
+import jsonschema
 import pytest
 
 from fpverify import (
@@ -21,12 +23,15 @@ from fpverify import (
     verify_derivation,
 )
 from fpverify.certificates import (
+    _NewTrivialWord,
+    _ProvingTable,
     certificate_product,
     conjugated_certificate,
     inverted_certificate,
 )
+from fpverify.presentation import _cyclic_class_key
 
-from conftest import random_word
+from conftest import random_word, schema
 
 
 def test_relator_is_its_own_consequence():
@@ -231,3 +236,122 @@ def test_certificate_product_matches_manual_expansion():
             manual = manual * (f.conjugator * r * f.conjugator.inverse())
         assert certificate_product(p.relators, Certificate(manual, factors)) \
             == manual
+
+
+# -- proof-logging enumeration -----------------------------------------------
+
+TRIVIAL_GROUPS = (
+    "< a | a^2, a^3 >",
+    "< a, b | a b a^-1 b^-2, b a b^-1 a^-2 >",  # the collapse test group
+    "< r, s | r^3, s^2, (r s)^2, r s r >",
+)
+
+
+def expand(proof, relators):
+    """Replace each "@k" symbol of a proof word by relator k (or its
+    inverse) and freely reduce from raw letters."""
+    out = []
+    for name, sign in proof.letters:
+        if name.startswith("@"):
+            r = relators[int(name[1:])]
+            out.extend(r.letters if sign == 1 else r.inverse().letters)
+        else:
+            out.append((name, sign))
+    return Word(out)
+
+
+def assert_entry_proofs(table, relators):
+    W = table.words
+    for (a, letter), (b, proof) in table.tab.items():
+        assert expand(proof, relators) == \
+            Word(W[a].letters + (letter,) + W[b].inverse().letters)
+    for c, (parent, proof) in table.merged.items():
+        assert expand(proof, relators) == \
+            Word(W[c].letters + W[parent].inverse().letters)
+
+
+@pytest.mark.parametrize("text", TRIVIAL_GROUPS)
+def test_proving_table_entry_proofs_expand_to_their_entries(text):
+    p = parse_presentation(text)
+    table = _ProvingTable(p, max_cosets=1000)
+    table.run()
+    assert table.live == 1
+    assert_entry_proofs(table, p.relators)
+    for g in p.generators:
+        assert expand(table.trace(Word.gen(g)), p.relators) == Word.gen(g)
+
+    # the lemma-surfacing run that derive_by_collapse makes stops mid-merge;
+    # the entries recorded so far and the lemma's proof still hold
+    table = _ProvingTable(p, max_cosets=1000, novelty_keys={
+        _cyclic_class_key(r) for r in p.relators})
+    with pytest.raises(_NewTrivialWord) as lemma:
+        table.run()
+    assert_entry_proofs(table, p.relators)
+    assert expand(lemma.value.proof, p.relators) == lemma.value.word
+
+
+# -- typed witness loading ---------------------------------------------------
+
+def _sample_certificate():
+    cert = Certificate(Word.gen("a", -1), (
+        Factor(Word([("b", 1), ("a", -1)]), 1, 1),
+        Factor(Word(), 0, -1),
+    ))
+    return cert.to_json()
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _set(doc, path, value):
+    doc = copy.deepcopy(doc)
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+MISTYPED = [
+    (("factors", 0, "sign"), True),
+    (("factors", 1, "sign"), False),
+    (("factors", 0, "sign"), 2),
+    (("factors", 0, "relator"), True),
+    (("factors", 0, "relator"), "1"),
+    (("factors", 0, "relator"), -1),
+    (("target", 0, 1), True),
+    (("target", 0, 1), 2),
+    (("factors", 0, "conjugator", 0, 1), True),
+    (("factors", 0, "conjugator", 0, 0), 7),
+    (("factors", 0, "conjugator", 0, 0), "1b"),
+    (("factors", 0, "conjugator", 0), ["b", 1, 1]),
+]
+
+
+@pytest.mark.parametrize("path, value", MISTYPED,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in MISTYPED])
+def test_from_json_rejects_what_the_schemas_reject(path, value):
+    good = _sample_certificate()
+    assert Certificate.from_json(good).to_json() == good
+    bad = _set(good, path, value)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, schema("certificate"))
+    with pytest.raises(ValueError):
+        Certificate.from_json(bad)
+
+    derivation = {"target": bad["target"], "steps": [good, bad]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(derivation, schema("derivation"))
+    with pytest.raises(ValueError):
+        Derivation.from_json(derivation)
+
+
+@pytest.mark.parametrize("path", [("factors", 0, "sign"), ("factors", 0, "relator"),
+                                  ("factors", 0, "conjugator", 1, 1)])
+def test_from_json_rejects_integral_floats(path):
+    # JSON Schema lets 1.0 stand for 1; the loader takes only the integers
+    # that to_json writes
+    good = _sample_certificate()
+    bad = _set(good, path, float(_get(good, path)))
+    with pytest.raises(ValueError):
+        Certificate.from_json(bad)

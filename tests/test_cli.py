@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -9,12 +8,7 @@ import pytest
 from fpverify.cli import main
 from fpverify.corpus import corpus_path
 
-SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "schemas"
-
-
-def schema(name):
-    with open(SCHEMAS / f"{name}-v1.schema.json", encoding="utf-8") as fh:
-        return json.load(fh)
+from conftest import schema
 
 
 def validate(instance, name):
@@ -77,6 +71,40 @@ def test_tc_env_var_limit(capsys, monkeypatch):
     monkeypatch.setenv("FPVERIFY_MAX_COSETS", "zero")
     with pytest.raises(SystemExit):
         run(capsys, "tc", str(corpus_path("pi1-N-full.grp")))
+
+
+def exit_code(capsys, *argv):
+    """Exit code of a run that stops by SystemExit, with its stderr."""
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    return stop.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tc", "--max-cosets", "0"), "--max-cosets: must be >= 1, got 0"),
+    (("tc", "--max-cosets", "-5"), "--max-cosets: must be >= 1, got -5"),
+    (("tc", "--max-cosets", "ten"), "--max-cosets: not an integer"),
+    (("verify", "--all", "--max-cosets", "0"), "--max-cosets: must be >= 1"),
+    (("simplify", "--budget", "-1"), "--budget: must be >= 0, got -1"),
+])
+def test_bad_integer_options_exit_2(capsys, argv, message):
+    path = str(corpus_path("pi1-N-full.grp"))
+    argv = argv if argv[0] == "verify" else argv + (path,)
+    code, err = exit_code(capsys, *argv)
+    assert code == 2 and message in err
+
+
+def test_bad_env_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FPVERIFY_MAX_COSETS", "0")
+    code, err = exit_code(capsys, "tc", str(corpus_path("pi1-N-full.grp")))
+    assert code == 2 and "FPVERIFY_MAX_COSETS" in err
+
+
+def test_simplify_budget_zero_is_allowed(tmp_path, capsys):
+    grp = tmp_path / "pair.grp"
+    grp.write_text("< a, b | a b^-1, b^3 >")
+    code, out, _ = run(capsys, "simplify", "--budget", "0", str(grp))
+    assert code == 0 and out.strip() == "< a, b | a b^-1, b^3 >"
 
 
 def test_tc_subgroup(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
 import fpverify.corpus as corpus
 from fpverify import (
+    Certificate,
+    Derivation,
+    Word,
     homology_h1,
     parse_presentation,
     parse_word,
@@ -132,6 +136,73 @@ def test_frozen_redundancy_derivations_verify():
             [r for j, r in enumerate(full.relators) if j != i])
         assert d.target == full.relators[i]
         assert verify_derivation(rest, d)
+
+
+def _frozen_witnesses():
+    """(presentation, certificate) for every frozen certificate and every
+    step of every frozen derivation, with the relators each step may use."""
+    for sid in ("derive-qc-commute", "derive-cx-commute", "derive-gx2",
+                "conjugacy-x"):
+        s = corpus.load_scenario(sid)
+        yield s.presentation("base"), s.certificates()[0]
+    s = corpus.load_scenario("elimination-y-w")
+    for key, base in (("full_from_raw", "eliminated"), ("raw_from_full", "massaged")):
+        for cert in s.certificates(key).values():
+            yield s.presentation(base), cert
+    s = corpus.load_scenario("redundancy-nine")
+    full = s.presentation()
+    for i, d in s.derivations().items():
+        relators = [r for j, r in enumerate(full.relators) if j != i]
+        for step in d.steps:
+            yield full.with_relators(relators), step
+            relators.append(step.target)
+
+
+MUTATIONS = {
+    "sign": lambda f, n: replace(f, sign=-f.sign),
+    "relator": lambda f, n: replace(f, relator_index=(f.relator_index + 1) % n),
+    "conjugator": lambda f, n: f.conjugator and replace(
+        f, conjugator=Word(f.conjugator.letters[:-1])),
+}
+
+
+def _mutations(cert, relators):
+    """For each kind of mutation, the certificate with it applied to the
+    first factor whose value u r^s u^-1 it changes.  One factor changed in
+    value changes the product, so the verifier must reject each of them."""
+    def value(f):
+        r = relators[f.relator_index]
+        return (r if f.sign == 1 else r.inverse()).conjugated_by(f.conjugator)
+
+    factors = cert.factors
+    for kind, mutate in MUTATIONS.items():
+        for k, f in enumerate(factors):
+            bad = mutate(f, len(relators))
+            if bad and value(bad) != value(f):
+                yield kind, Certificate(
+                    cert.target, factors[:k] + (bad,) + factors[k + 1:])
+                break
+
+
+def test_verifier_rejects_mutated_frozen_witnesses():
+    kinds = set()
+    n = 0
+    for p, cert in _frozen_witnesses():
+        assert verify_certificate(p, cert)
+        for kind, bad in _mutations(cert, p.relators):
+            assert not verify_certificate(p, bad), (kind, str(cert.target))
+            kinds.add(kind)
+        n += 1
+    assert kinds == {"sign", "relator", "conjugator"} and n > 40
+
+    # and a derivation with one mutated step fails as a whole
+    s = corpus.load_scenario("redundancy-nine")
+    full = s.presentation()
+    i, d = next(iter(s.derivations().items()))
+    rest = full.with_relators([r for j, r in enumerate(full.relators) if j != i])
+    relators = rest.relators + tuple(step.target for step in d.steps[:-1])
+    for _, bad in _mutations(d.steps[-1], relators):
+        assert not verify_derivation(rest, Derivation(d.target, d.steps[:-1] + (bad,)))
 
 
 def test_raw_presentation_regenerates_from_sources():

@@ -12,7 +12,7 @@ from fpverify import (
     invert,
     substitute,
 )
-from fpverify.words import CONVENTION_GAP
+from fpverify.words import CONVENTION_GAP, _product
 
 from conftest import random_letters
 
@@ -171,6 +171,65 @@ def test_cyclic_permutations_same_class(w):
     core, _ = w.cyclic_reduce()
     for rot in core.cyclic_permutations():
         assert len(rot) == len(core)
+
+
+# -- fast paths against full reduction ----------------------------------------
+#
+# Products, inverses and conjugates of reduced words cancel only at seams and
+# skip the full reduction pass; the reference is Word() over the raw letters.
+
+def raw_inverse(w):
+    return [(g, -e) for g, e in reversed(w.letters)]
+
+
+def assert_reduced_as(fast, raw_letters):
+    assert fast == Word(raw_letters)
+    assert Word(fast.letters) == fast  # nothing left to cancel
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(u, v) where v starts with a prefix of u^-1, so u * v cancels deep."""
+    u = draw(words)
+    k = draw(st.integers(0, len(u)))
+    return u, Word(raw_inverse(u)[:k] + list(draw(words).letters))
+
+
+@given(st.one_of(st.tuples(words, words), cancelling_pairs()))
+def test_seam_product_matches_full_reduction(pair):
+    u, v = pair
+    assert_reduced_as(u * v, u.letters + v.letters)
+    assert_reduced_as(v * u, v.letters + u.letters)
+
+
+@given(words)
+def test_inverse_matches_full_reduction(w):
+    assert_reduced_as(w.inverse(), raw_inverse(w))
+
+
+@given(st.one_of(st.tuples(words, words), cancelling_pairs()))
+def test_conjugated_by_matches_full_reduction(pair):
+    u, w = pair
+    assert_reduced_as(w.conjugated_by(u), list(u.letters + w.letters) + raw_inverse(u))
+    assert_reduced_as(u.conjugated_by(w), list(w.letters + u.letters) + raw_inverse(w))
+
+
+@given(st.lists(st.one_of(words, cancelling_pairs().map(lambda p: p[0] * p[1])),
+                max_size=8),
+       st.booleans())
+def test_streaming_product_matches_full_reduction(ws, with_inverses):
+    if with_inverses:  # every prefix cancels completely against its mirror
+        ws = ws + [w.inverse() for w in reversed(ws)]
+    assert_reduced_as(_product(ws), [let for w in ws for let in w.letters])
+    if with_inverses:
+        assert _product(ws).is_identity()
+
+
+@given(words)
+def test_cyclic_reduce_matches_reference(w):
+    core, conj = w.cyclic_reduce()
+    assert Word(core.letters) == core and Word(conj.letters) == conj
+    assert Word(list(conj.letters + core.letters) + raw_inverse(conj)) == w
 
 
 def test_confluence_against_random_order_oracle():
