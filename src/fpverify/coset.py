@@ -352,13 +352,11 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
         except _LimitReached:
             if not lookahead:
                 return False
-            _lookahead_pass(ct)
-            alpha_rep = ct.rep(alpha)
-            mapping = ct.compact()
+            _lookahead_pass(ct, alpha)
             if ct.live_count >= ct.max_cosets:
                 return False
-            alpha = mapping[alpha_rep]
-            continue  # retry the same coset with the compacted table
+            alpha = ct.rep(alpha)
+            continue  # retry the pointer coset (or its representative)
         alpha_rep = ct.rep(alpha)
         mapping = ct.maybe_compact()
         if mapping is not None:
@@ -368,8 +366,13 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
     return True
 
 
-def _lookahead_pass(ct: CosetTable) -> None:
-    for alpha in range(len(ct.table)):
+def _lookahead_pass(ct: CosetTable, start: int) -> None:
+    """Scan every relator at every live coset from the HLT pointer on.
+
+    Every live coset below the pointer has a complete row and every relator
+    closes at it; a closed trace stays closed through coincidences, so
+    scanning there can deduce or merge nothing."""
+    for alpha in range(start, len(ct.table)):
         if ct.p[alpha] != alpha:
             continue
         for word in ct.relator_cols:

@@ -14,7 +14,9 @@ header line in files)::
 
 Relations ``w = v`` are normalized to the relator ``w v^-1``; commutators
 are expanded according to the active convention; relators are stored
-cyclically reduced, with trivial ones dropped.
+cyclically reduced, with trivial ones dropped.  No word the parser builds
+may exceed ``MAX_WORD_LENGTH`` letters; a power is checked before it is
+expanded, so one short line cannot exhaust memory.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .words import (
     check_generator_name,
     commutator,
 )
+
+
+# longest word the parser will build (the corpus needs a few dozen letters)
+MAX_WORD_LENGTH = 100_000
 
 
 class ParseError(ValueError):
@@ -208,9 +214,9 @@ class _Parser:
     def _relation(self) -> Word:
         left = self._word()
         if self.toks.peek()[1] == "=":
-            self.toks.next()
+            _, _, line, col = self.toks.next()
             right = self._word()
-            return left * right.inverse()
+            return self._bounded(left * right.inverse(), line, col)
         return left
 
     def _word(self) -> Word:
@@ -219,7 +225,8 @@ class _Parser:
             return Word.identity()
         w = self._term()
         while self.toks.peek()[0] in ("ident",) or self.toks.peek()[1] in ("[", "("):
-            w = w * self._term()
+            _, _, line, col = self.toks.peek()
+            w = self._bounded(w * self._term(), line, col)
         return w
 
     def _term(self) -> Word:
@@ -229,8 +236,21 @@ class _Parser:
             kind, val, line, col = self.toks.next()
             if kind != "int":
                 raise ParseError(f"expected integer exponent, got {val!r}", line, col)
-            return atom ** int(val)
+            try:
+                n = int(val)
+            except ValueError:  # more digits than int() converts
+                n = None
+            if n is None or len(atom) * abs(n) > MAX_WORD_LENGTH:
+                raise ParseError(f"exponent expands a {len(atom)}-letter word "
+                                 f"past {MAX_WORD_LENGTH} letters", line, col)
+            return atom ** n
         return atom
+
+    @staticmethod
+    def _bounded(w: Word, line: int, col: int) -> Word:
+        if len(w) > MAX_WORD_LENGTH:
+            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", line, col)
+        return w
 
     def _atom(self) -> Word:
         kind, val, line, col = self.toks.peek()
@@ -243,7 +263,7 @@ class _Parser:
             self.toks.expect(",")
             v = self._word()
             self.toks.expect("]")
-            return commutator(u, v, self.convention)
+            return self._bounded(commutator(u, v, self.convention), line, col)
         if val == "(":
             self.toks.next()
             w = self._word()
@@ -293,30 +313,11 @@ class EliminateGenerator:
 
 
 @dataclass(frozen=True)
-class SubstituteInRelators:
-    gen: str
-    replacement: Word
-
-
-@dataclass(frozen=True)
-class AddRedundantRelator:
-    relator: Word
-    certificate: object = None
-
-
-@dataclass(frozen=True)
-class RemoveRedundantRelator:
-    index: int
-    certificate: object = None
-
-
-@dataclass(frozen=True)
 class DropDuplicateRelator:
     index: int
 
 
-TietzeMove = (EliminateGenerator | SubstituteInRelators | AddRedundantRelator
-              | RemoveRedundantRelator | DropDuplicateRelator)
+TietzeMove = EliminateGenerator | DropDuplicateRelator
 
 
 def _defining_forms(relator: Word, gen: str) -> Word | None:
@@ -437,15 +438,6 @@ def replay_moves(p: Presentation, moves: Sequence[TietzeMove]) -> Presentation:
                                                using=move.defining_relator_index)
             if got.definition != move.definition:
                 raise ValueError(f"replay mismatch eliminating {move.gen}")
-        elif isinstance(move, SubstituteInRelators):
-            current = current.with_relators(
-                [r.substitute(move.gen, move.replacement) for r in current.relators])
-        elif isinstance(move, AddRedundantRelator):
-            current = current.with_relators(list(current.relators) + [move.relator])
-        elif isinstance(move, RemoveRedundantRelator):
-            rels = list(current.relators)
-            del rels[move.index]
-            current = current.with_relators(rels)
         elif isinstance(move, DropDuplicateRelator):
             current, _ = dedupe_relators(current)
         else:

@@ -7,6 +7,7 @@ import pytest
 
 from fpverify.cli import main
 from fpverify.corpus import corpus_path
+from fpverify.presentation import MAX_WORD_LENGTH
 
 from conftest import schema
 
@@ -45,6 +46,16 @@ def test_parse_syntax_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "parse", str(bad))
     assert exc.value.code == 2
+
+
+def test_parse_exponent_past_word_bound(tmp_path, capsys):
+    bad = tmp_path / "long.grp"
+    bad.write_text(f"< a | a^{MAX_WORD_LENGTH + 1} >")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "parse", str(bad))
+    assert exc.value.code == 2
+    assert f"1:9: exponent expands a 1-letter word past {MAX_WORD_LENGTH}" \
+        in capsys.readouterr().err
 
 
 def test_tc_reduced(capsys):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from fpverify import (
+    Presentation,
     Word,
     enumerate_cosets,
     homology_h1,
@@ -9,6 +12,7 @@ from fpverify import (
     permutation_action,
     verify_trivial,
 )
+from fpverify.certificates import NotFound, _ProvingTable
 from fpverify.coset import STRATEGIES
 
 
@@ -141,6 +145,68 @@ def test_monotone_limits():
     for m in (50, 1000):
         again = enumerate_cosets(p, (), max_cosets=m)
         assert again.completed and again.index == small.index
+
+
+@pytest.mark.parametrize("text, limit, index, defined, coincidences", [
+    ("< a, b | a^2, b^3, (a b)^5 >", 61, 60, 70, 10),
+    ("< x, y | x^2, y^3, (x y)^4 >", 25, 24, 27, 3),
+])
+def test_lookahead_completes_where_hlt_stops(text, limit, index, defined,
+                                             coincidences):
+    p = parse_presentation(text)
+    assert enumerate_cosets(p, (), strategy="hlt",
+                            max_cosets=limit).status == "LimitExceeded"
+    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=limit)
+    assert result.completed and result.index == index
+    assert result.cosets_defined_total == defined
+    assert result.coincidences == coincidences
+    assert result.cosets_live_max == limit
+    unlimited = enumerate_cosets(p, (), strategy="hlt-lookahead")
+    assert result.table.table == unlimited.table.table
+
+
+def test_limit_after_lookahead_keeps_a_consistent_table():
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
+    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=47)
+    assert result.status == "LimitExceeded"
+    assert (result.cosets_defined_total, result.coincidences) == (53, 6)
+    ct = result.table
+    assert len(ct.table) > ct.live_count  # dead rows are kept, not compacted
+    assert ct.check_involution()
+    for alpha in ct.live_cosets():
+        assert all(beta is None or ct.p[beta] == beta for beta in ct.table[alpha])
+
+
+def test_engines_agree_on_random_presentations():
+    # Without novelty keys the proof-logging table's proof words blow up in
+    # coincidence cascades (thousands of letters at 24 cosets on some of
+    # these inputs), so the limit stays small.
+    limit = 20
+    rng = random.Random(2)
+    indices_seen = set()
+    all_completed = 0
+    for _ in range(150):
+        gens = "abc"[:rng.choice((2, 3))]
+        relators = [Word((rng.choice(gens), rng.choice((1, -1)))
+                         for _ in range(rng.randint(2, 6)))
+                    for _ in gens]
+        p = Presentation(gens, relators)
+        indices = {}
+        for strategy in STRATEGIES:
+            result = enumerate_cosets(p, (), strategy=strategy, max_cosets=limit)
+            if result.completed:
+                indices[strategy] = result.index
+        table = _ProvingTable(p, max_cosets=limit)
+        try:
+            table.run()
+            indices["proof"] = table.live
+        except NotFound:
+            pass
+        assert len(set(indices.values())) <= 1, (p, indices)
+        if len(indices) == 4:
+            all_completed += 1
+            indices_seen.add(indices["hlt"])
+    assert all_completed >= 90 and len(indices_seen) >= 6
 
 
 def test_verify_trivial():

@@ -18,7 +18,7 @@ from fpverify import (
     simplify,
 )
 from fpverify.corpus import list_scenarios, load_corpus_presentation
-from fpverify.presentation import dedupe_relators
+from fpverify.presentation import MAX_WORD_LENGTH, dedupe_relators
 
 
 def test_parse_trivial_group():
@@ -67,6 +67,26 @@ def test_parse_errors_carry_location():
         parse_presentation("< a, a | >")  # duplicate generator
     with pytest.raises((ParseError, ValueError)):
         parse_presentation("< a | b >")  # unknown generator
+
+
+def test_word_length_bound():
+    n = MAX_WORD_LENGTH
+    assert len(parse_presentation(f"< a | a^{n} >").relators[0]) == n
+    assert len(parse_word(f"a^-{n}")) == n
+    for text, line, col in [
+        (f"< a | a^{n + 1} >", 1, 9),
+        (f"< a | a^-{n + 1} >", 1, 9),
+        (f"< a, b |\n (a b)^{n // 2 + 1} >", 2, 8),
+        (f"< a | (a^{n})^2 >", 1, 18),
+        (f"< a | a^{'9' * 5000} >", 1, 9),  # more digits than int() reads
+        (f"< a, b | a^{n} b >", 1, 19),
+        (f"< a, b | [a^{n // 2}, b] >", 1, 10),
+        (f"< a, b | a^{n} = b >", 1, 19),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.column) == (line, col), text[:40]
+        assert str(MAX_WORD_LENGTH) in str(exc.value)
 
 
 def test_trivial_relator_dropped():
