@@ -10,6 +10,18 @@ per inverse generator, rows are cosets (0-based internally, coset 0 is the
 subgroup; reported statistics use the 1-based convention only in printing).
 Coincidences are handled by a union-find array processed to exhaustion
 before any new coset is defined.
+
+Lookahead.  When HLT with lookahead first hits the coset limit, one full
+sweep scans every relator at every live coset from the HLT pointer on.
+From then on the table pushes every entry it sets (a definition, a
+deduction, or an entry moved by a coincidence) onto a deduction stack, and
+each later limit hit pops that stack and scans, as Felsch does, the cyclic
+conjugates of the relators and their inverses that begin with each changed
+entry.  New deductions and coincidences come from traces through changed
+entries, so a later pass costs what changed rather than the whole table.
+Lookahead only scans and never defines a coset, so every deduction and
+coincidence it makes follows from the relators: a completed table is still
+validated, and hitting the limit stays inconclusive.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ class EnumerationResult:
     strategy: str
     elapsed_ms: float
     table: "CosetTable | None" = None
+    lookahead_passes: int = 0
+    compactions: int = 0
 
     @property
     def completed(self) -> bool:
@@ -89,6 +103,8 @@ class CosetTable:
         self.defined_total = 1
         self.live_max = 1
         self.coincidence_count = 0
+        self.lookahead_passes = 0
+        self.compactions = 0
         self.track_deductions = False
         self.deductions: list[tuple[int, int]] = []
         self.complete = False
@@ -121,6 +137,8 @@ class CosetTable:
         self.live_count += 1
         self.defined_total += 1
         self.live_max = max(self.live_max, self.live_count)
+        if self.track_deductions:
+            self.deductions.append((alpha, x))
         return beta
 
     def _merge(self, k: int, l: int, queue: list[int]) -> None:
@@ -227,6 +245,7 @@ class CosetTable:
 
     def compact(self) -> list[int | None]:
         """Drop dead cosets, renumber live ones; returns old->new mapping."""
+        self.compactions += 1
         mapping: list[int | None] = [None] * len(self.table)
         new = 0
         for i in range(len(self.table)):
@@ -323,6 +342,44 @@ class CosetTable:
 
 # -- strategy drivers -------------------------------------------------------
 
+def _relator_conjugates(ct: CosetTable) -> list[list[list[int]]]:
+    """For every column x, the distinct cyclic conjugates of each relator
+    and inverse relator that begin with x."""
+    by_first: list[list[list[int]]] = [[] for _ in range(ct.ncols)]
+    seen: set[tuple[int, ...]] = set()
+    for word in ct.relator_cols:
+        for cand in (word, [c ^ 1 for c in reversed(word)]):
+            for k in range(len(cand)):
+                rot = cand[k:] + cand[:k]
+                key = tuple(rot)
+                if key not in seen:
+                    seen.add(key)
+                    by_first[rot[0]].append(rot)
+    return by_first
+
+
+def _process_deductions(ct: CosetTable,
+                        by_first: list[list[list[int]]]) -> None:
+    """Pop the deduction stack to exhaustion, scanning the relator
+    conjugates through each changed entry from both of its ends."""
+    while ct.deductions:
+        alpha, x = ct.deductions.pop()
+        alpha = ct.rep(alpha)
+        for word in by_first[x]:
+            ct.scan(alpha, word)
+            if ct.p[alpha] != alpha:
+                break
+        if ct.p[alpha] != alpha:
+            continue
+        beta = ct.table[alpha][x]
+        if beta is not None:
+            beta = ct.rep(beta)
+            for word in by_first[x ^ 1]:
+                ct.scan(beta, word)
+                if ct.p[beta] != beta:
+                    break
+
+
 def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
     """Returns True on completion, False when the limit is exceeded."""
     try:
@@ -330,6 +387,7 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
             ct.scan_and_fill(0, word)
     except _LimitReached:
         return False
+    by_first = None  # built at the first limit hit
     alpha = 0
     while alpha < len(ct.table):
         if ct.p[alpha] != alpha:
@@ -352,7 +410,12 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
         except _LimitReached:
             if not lookahead:
                 return False
-            _lookahead_pass(ct, alpha)
+            ct.lookahead_passes += 1
+            if by_first is None:
+                by_first = _relator_conjugates(ct)
+                _lookahead_pass(ct, alpha)
+            else:
+                _process_deductions(ct, by_first)
             if ct.live_count >= ct.max_cosets:
                 return False
             alpha = ct.rep(alpha)
@@ -367,11 +430,14 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
 
 
 def _lookahead_pass(ct: CosetTable, start: int) -> None:
-    """Scan every relator at every live coset from the HLT pointer on.
+    """The first lookahead pass: scan every relator at every live coset
+    from the HLT pointer on, and start recording changed entries so that
+    later passes scan only through them (`_process_deductions`).
 
     Every live coset below the pointer has a complete row and every relator
     closes at it; a closed trace stays closed through coincidences, so
     scanning there can deduce or merge nothing."""
+    ct.track_deductions = True
     for alpha in range(start, len(ct.table)):
         if ct.p[alpha] != alpha:
             continue
@@ -382,19 +448,7 @@ def _lookahead_pass(ct: CosetTable, start: int) -> None:
 
 
 def _run_felsch(ct: CosetTable) -> bool:
-    # deduction words: for every column x, all cyclic conjugates of each
-    # relator or inverse relator beginning with x
-    by_first: dict[int, list[list[int]]] = {x: [] for x in range(ct.ncols)}
-    seen: set[tuple[int, ...]] = set()
-    for word in ct.relator_cols:
-        for cand in (word, [c ^ 1 for c in reversed(word)]):
-            for k in range(len(cand)):
-                rot = cand[k:] + cand[:k]
-                key = tuple(rot)
-                if key not in seen:
-                    seen.add(key)
-                    by_first[rot[0]].append(rot)
-
+    by_first = _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
             ct.scan_and_fill(0, word)
@@ -413,22 +467,7 @@ def _run_felsch(ct: CosetTable) -> bool:
 
     cursor = 0
     while True:
-        while ct.deductions:
-            alpha, x = ct.deductions.pop()
-            alpha = ct.rep(alpha)
-            for word in by_first[x]:
-                ct.scan(alpha, word)
-                if ct.p[alpha] != alpha:
-                    break
-            if ct.p[alpha] != alpha:
-                continue
-            beta = ct.table[alpha][x]
-            if beta is not None:
-                beta = ct.rep(beta)
-                for word in by_first[x ^ 1]:
-                    ct.scan(beta, word)
-                    if ct.p[beta] != beta:
-                        break
+        _process_deductions(ct, by_first)
         if ct.maybe_compact() is not None:
             cursor = 0
         # coincidences can undefine entries behind the cursor, so fall back
@@ -442,7 +481,6 @@ def _run_felsch(ct: CosetTable) -> bool:
         cursor = target[0]
         try:
             ct.define(*target)
-            ct.deductions.append(target)
         except _LimitReached:
             return False
 
@@ -461,20 +499,17 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(), strategy: str = "hlt-loo
     else:
         ok = _run_hlt(ct, lookahead=(strategy == "hlt-lookahead"))
     elapsed = (time.monotonic() - start) * 1000.0
-    if not ok:
-        return EnumerationResult(
-            status="LimitExceeded", index=None,
-            cosets_defined_total=ct.defined_total, cosets_live_max=ct.live_max,
-            coincidences=ct.coincidence_count, strategy=strategy,
-            elapsed_ms=elapsed, table=ct)
-    ct.compact()
-    ct.validate()
-    ct.standardize()
+    if ok:
+        ct.compact()
+        ct.validate()
+        ct.standardize()
     return EnumerationResult(
-        status="Completed", index=ct.live_count,
+        status="Completed" if ok else "LimitExceeded",
+        index=ct.live_count if ok else None,
         cosets_defined_total=ct.defined_total, cosets_live_max=ct.live_max,
         coincidences=ct.coincidence_count, strategy=strategy,
-        elapsed_ms=elapsed, table=ct)
+        elapsed_ms=elapsed, table=ct, lookahead_passes=ct.lookahead_passes,
+        compactions=ct.compactions)
 
 
 def verify_trivial(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,

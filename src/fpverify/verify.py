@@ -83,29 +83,31 @@ class RunReport:
 
 
 class _Steps:
-    """Collects StepResults, timing each check."""
+    """Collects StepResults.  Each step is timed from the end of the step
+    before it, or from the start of the run, so a report's step times add
+    up to its run."""
 
     def __init__(self):
         self.results: list[StepResult] = []
+        self._mark = time.monotonic()
+
+    def record(self, name: str, status: str, **detail) -> bool:
+        now = time.monotonic()
+        self.results.append(StepResult(name, status, detail,
+                                       (now - self._mark) * 1000.0))
+        self._mark = now
+        return status == "pass"
 
     def check(self, name: str, ok: bool, **detail) -> bool:
-        self.results.append(StepResult(name, "pass" if ok else "fail", detail))
-        return ok
-
-    def add(self, step: StepResult) -> None:
-        self.results.append(step)
+        return self.record(name, "pass" if ok else "fail", **detail)
 
     def timed(self, name: str, fn, **detail):
-        t0 = time.monotonic()
         try:
             ok, extra = fn()
         except NotFound as exc:
             ok, extra = False, {"error": str(exc)}
         detail.update(extra)
-        self.results.append(StepResult(
-            name, "pass" if ok else "fail", detail,
-            (time.monotonic() - t0) * 1000.0))
-        return ok
+        return self.check(name, ok, **detail)
 
 
 def _expected_h1(expected: dict) -> tuple[int, tuple[int, ...]]:
@@ -128,17 +130,13 @@ def _run_presentation_scenario(s: Scenario, steps: _Steps, convention: str,
         steps.check("h1", (h1.free_rank, h1.torsion) == _expected_h1(exp),
                     computed=h1.to_json(), expected=exp["h1"])
     if exp.get("trivial"):
-        t0 = time.monotonic()
         result = enumerate_cosets(p, (), strategy=strategy,
                                   max_cosets=max_cosets)
-        elapsed = (time.monotonic() - t0) * 1000.0
         if result.completed:
-            steps.add(StepResult(
-                "triviality", "pass" if result.index == 1 else "fail",
-                {"enumeration": result.to_json()}, elapsed))
+            status = "pass" if result.index == 1 else "fail"
         else:
-            steps.add(StepResult("triviality", "limit",
-                                 {"enumeration": result.to_json()}, elapsed))
+            status = "limit"
+        steps.record("triviality", status, enumeration=result.to_json())
         # independent cross-check: a trivial group must have trivial H1
         h1 = homology_h1(p)
         steps.check("h1-cross-check", h1.is_trivial(), computed=h1.to_json())
@@ -235,8 +233,8 @@ def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
                  strategy: str = "hlt-lookahead") -> RunReport:
     s = load_scenario(scenario_id)
-    steps = _Steps()
     t0 = time.monotonic()
+    steps = _Steps()
     if s.id in ("pi1-E0-tilde", "eleven-new-relators", "pi1-N-full",
                 "pi1-N-reduced"):
         _run_presentation_scenario(s, steps, convention, max_cosets, strategy)

@@ -165,6 +165,55 @@ def test_lookahead_completes_where_hlt_stops(text, limit, index, defined,
     assert result.table.table == unlimited.table.table
 
 
+def test_lookahead_passes_from_the_deduction_stack():
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^7, [a, b]^4 >")
+    hlt = enumerate_cosets(p, (), strategy="hlt", max_cosets=168)
+    assert hlt.status == "LimitExceeded"
+    assert (hlt.cosets_defined_total, hlt.coincidences) == (183, 15)
+    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=168)
+    assert result.completed and result.index == 168
+    assert (result.cosets_defined_total, result.coincidences) == (264, 96)
+    # one full sweep, then two passes over the deduction stack; they free
+    # 60, 19 and 2 cosets, and the table completes only after the third
+    assert result.lookahead_passes == 3
+    assert result.compactions == 1  # the final one, before validation
+    unlimited = enumerate_cosets(p, (), strategy="hlt-lookahead")
+    assert result.table.table == unlimited.table.table
+
+
+def test_lookahead_at_tight_limits_on_random_presentations():
+    rng = random.Random(5)
+
+    def word(shortest, longest):
+        return Word((rng.choice("ab"), rng.choice((1, -1)))
+                    for _ in range(rng.randint(shortest, longest)))
+
+    from_stack = 0
+    for _ in range(100):
+        w = word(3, 5)
+        p = Presentation("ab", [parse_word("a^2"), parse_word("b^3"),
+                                parse_word("a b") ** rng.randint(5, 8),
+                                w ** rng.randint(2, 4)])
+        subgroup = (word(1, 4),) if rng.random() < 0.4 else ()
+        free = enumerate_cosets(p, subgroup, strategy="hlt", max_cosets=1500)
+        if not free.completed:
+            continue
+        n, m = free.index, free.cosets_live_max
+        for limit in sorted({n, n + (m - n) // 4, (n + m) // 2, m}):
+            hlt = enumerate_cosets(p, subgroup, strategy="hlt",
+                                   max_cosets=limit)
+            ahead = enumerate_cosets(p, subgroup, strategy="hlt-lookahead",
+                                     max_cosets=limit)
+            if hlt.completed:
+                assert ahead.completed, (p, subgroup, limit)
+                assert ahead.table.table == hlt.table.table
+            if ahead.completed:
+                assert ahead.table.table == free.table.table, (p, subgroup)
+                from_stack += ahead.lookahead_passes >= 2
+    # completions that needed a pass over the deduction stack
+    assert from_stack >= 20
+
+
 def test_limit_after_lookahead_keeps_a_consistent_table():
     p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
     result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=47)
