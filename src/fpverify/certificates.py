@@ -19,6 +19,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
+from .coset import CosetTable, _run_felsch
 from .presentation import Presentation, _cyclic_class_key
 from .words import GEN_NAME_RE, Word, _product, _reduced
 
@@ -245,15 +246,19 @@ def _rebuild(target: Word, parents: dict) -> Certificate:
 #
 # Splice search cannot reach consequences whose shortest derivation is long
 # (e.g. relators that only follow from the collapse of a trivial group).  For
-# those we re-run a coset enumeration that logs a proof with every table
-# entry: entry (alpha, letter) = beta carries a flat certificate whose
-# product freely reduces to W(alpha) * letter * W(beta)^-1, where W(c) is the
-# definition word of coset c.  Definitions carry the empty certificate,
-# deductions compose the certificates along the relator scan plus one
-# conjugated-relator factor, and coincidences carry bridge certificates
-# through a union-find.  When the enumeration collapses to a single coset,
-# tracing any word through the table concatenates entry certificates into a
-# certificate for that word.
+# those we run the ordinary Felsch enumeration of `coset.py` with a proof log
+# attached to its `CosetTable`: entry (alpha, x) = beta carries a proof whose
+# relator expansion freely reduces to W(alpha) * x * W(beta)^-1, where W(c)
+# is the definition word of coset c.  The table calls the log only where it
+# changes.  A definition carries the empty proof.  A deduction or a
+# coincidence found by a scan of a relator conjugate at alpha is proved by
+# the entry proofs along the scan around W(alpha) * (conjugate) *
+# W(alpha)^-1, which the log builds by re-walking the scan.  A merge is
+# recorded in the log's own union-find with a bridge proof, and each entry
+# a coincidence moves, or each merge it forces, is proved from the entry it
+# came from and the bridges of its two ends.  When the enumeration
+# collapses to a single coset, tracing any word through the table
+# concatenates entry proofs into a certificate for that word.
 
 
 # Proofs are kept as single freely reduced words over an extended alphabet:
@@ -266,10 +271,6 @@ def _rebuild(target: Word, parents: dict) -> Certificate:
 # "@" symbols from any proof built here leaves a word that freely reduces
 # to the identity, so the factor form extracted at the end multiplies out
 # to exactly the word the proof claims.
-
-
-def _rel_symbol(k: int) -> str:
-    return f"@{k}"
 
 
 def _proof_to_factors(proof: Word) -> tuple[Factor, ...]:
@@ -293,30 +294,69 @@ class _NewTrivialWord(Exception):
         self.proof = proof
 
 
-class _ProvingTable:
-    def __init__(self, p: Presentation, max_cosets: int,
-                 novelty_keys: set | None = None):
-        self.relators = [r.letters for r in p.relators]
-        self.symbols = [(_rel_symbol(k), 1) for k in range(len(self.relators))]
-        self.letters = [(g, 1) for g in p.generators] \
-            + [(g, -1) for g in p.generators]
-        self.novelty_keys = novelty_keys
-        self.max_cosets = max_cosets
-        self.words: list[Word] = [Word.identity()]  # definition word per coset
-        self.merged: dict[int, tuple[int, Word]] = {}  # dead -> (parent, proof)
-        self.tab: dict[tuple, tuple[int, Word]] = {}  # (coset, letter) -> ...
-        self.live = 1
-        self.closed: set[tuple] = set()  # (coset, relator) scans already closed
-        self.pending: list[int] = []  # cosets whose scans may now progress
-        self.queued: set[int] = set()
-        # a proof attached to a table entry (alpha, letter) = beta is a word
-        # over generators and "@k" symbols whose relator expansion freely
-        # reduces to W(alpha) * letter * W(beta)^-1
+class _ProofLog:
+    """Entry, merge and scan proofs for a `CosetTable` enumerating the
+    cosets of the trivial subgroup; the table calls it where it changes.
 
-    def enqueue(self, a: int) -> None:
-        if a not in self.queued:
-            self.queued.add(a)
-            self.pending.append(a)
+    With novelty_keys (cyclic class keys of the known relators), a merge
+    whose trivial word W(a)*W(b)^-1 is outside those classes raises
+    `_NewTrivialWord` before the table records it (collapse-ladder mining;
+    it also keeps the terminal coincidence cascade, whose proofs grow
+    quadratically, from ever running)."""
+
+    def __init__(self, novelty_keys: set | None = None):
+        self.novelty_keys = novelty_keys
+
+    def attach(self, ct) -> None:
+        self.ct = ct
+        self.letters = [None] * ct.ncols  # column -> one-letter word
+        for letter, x in ct.col.items():
+            self.letters[x] = _reduced((letter,))
+        self.words: list[Word] = [Word.identity()]  # definition word per coset
+        self.proofs: list[list[Word | None]] = [[None] * ct.ncols]
+        self.merged: dict[int, tuple[int, Word]] = {}  # dead -> (parent, proof)
+        # u^-1 @k^s u for each cyclic conjugate (u^-1 r_k^s u) as columns
+        self.factors: dict[tuple[int, ...], Word] = {}
+        for k, r in enumerate(ct.presentation.relators):
+            for sign in (1, -1):
+                base = (r if sign == 1 else r.inverse()).letters
+                cols = [ct.col[let] for let in base]
+                for m in range(len(base)):
+                    u = _reduced(base[:m])
+                    self.factors.setdefault(
+                        tuple(cols[m:] + cols[:m]),
+                        _reduced(u.inverse().letters + ((f"@{k}", sign),)
+                                 + u.letters))
+
+    def define(self, alpha: int, x: int, beta: int) -> None:
+        self.words.append(self.words[alpha] * self.letters[x])
+        self.proofs.append([None] * self.ct.ncols)
+        self.proofs[alpha][x] = self.proofs[beta][x ^ 1] = Word.identity()
+
+    def entry(self, alpha: int, x: int, beta: int, proof: Word) -> None:
+        """Record entry (alpha, x) = beta and its inverse, proof showing
+        W(alpha)*x*W(beta)^-1."""
+        self.proofs[alpha][x] = proof
+        self.proofs[beta][x ^ 1] = proof.inverse()
+
+    def scan(self, alpha: int, word: list[int], i: int, j: int) -> Word:
+        """Proof of W(f)*word[i..j]*W(b)^-1 for a scan of the relator
+        conjugate word at alpha whose forward end f is i letters in and
+        whose backward end b is len(word) - 1 - j letters back."""
+        table, proofs = self.ct.table, self.proofs
+        forward = []
+        f = alpha
+        for x in word[:i]:
+            forward.append(proofs[f][x])
+            f = table[f][x]
+        w = self.words[alpha]
+        parts = [c.inverse() for c in reversed(forward)]
+        parts += (w, self.factors[tuple(word)], w.inverse())
+        b = alpha
+        for x in reversed(word[j + 1:]):
+            parts.append(proofs[b][x ^ 1])
+            b = table[b][x ^ 1]
+        return _product(parts)
 
     def find(self, a: int) -> tuple[int, Word]:
         """Live representative of a, with proof of W(a)*W(rep)^-1."""
@@ -328,186 +368,48 @@ class _ProvingTable:
         for c in reversed(chain):  # path-compress, root-most first
             proof = self.merged[c][1] * proof
             self.merged[c] = (a, proof)
-        return a, (self.merged[chain[0]][1] if chain else Word.identity())
-
-    def get(self, a: int, letter) -> tuple[int, Word] | None:
-        entry = self.tab.get((a, letter))
-        if entry is None:
-            return None
-        b, proof = entry
-        if b in self.merged:
-            b, bridge = self.find(b)
-            proof = proof * bridge
-            self.tab[(a, letter)] = (b, proof)
-        return b, proof
-
-    def define(self, a: int, letter) -> int:
-        if self.live >= self.max_cosets:
-            raise NotFound(f"coset limit {self.max_cosets} exceeded")
-        b = len(self.words)
-        self.words.append(self.words[a] * _reduced((letter,)))
-        self.tab[(a, letter)] = (b, Word.identity())
-        self.tab[(b, (letter[0], -letter[1]))] = (a, Word.identity())
-        self.live += 1
-        self.enqueue(a)
-        self.enqueue(b)
-        return b
+        return a, proof
 
     def merge(self, a: int, b: int, proof: Word) -> None:
         """Record that cosets a, b coincide; proof shows W(a)*W(b)^-1."""
-        queue = [(a, b, proof)]
-        while queue:
-            a, b, proof = queue.pop()
-            ra, ca = self.find(a)
-            rb, cb = self.find(b)
-            if ra == rb:
-                continue
-            bridge = _product((ca.inverse(), proof, cb))  # W(ra)*W(rb)^-1
-            if self.novelty_keys is not None:
-                # surface the trivial word behind this coincidence if it is
-                # not already a relator (used for collapse-ladder mining;
-                # also keeps the terminal coincidence cascade, whose proofs
-                # grow quadratically, from ever running)
-                t = self.words[ra] * self.words[rb].inverse()
-                core, conj = t.cyclic_reduce()
-                if _cyclic_class_key(core) not in self.novelty_keys:
-                    raise _NewTrivialWord(core, conj.inverse() * bridge * conj)
-            if rb < ra:
-                ra, rb = rb, ra
-                bridge = bridge.inverse()
-            self.merged[rb] = (ra, bridge.inverse())
-            self.live -= 1
-            self.enqueue(ra)
-            for letter in self.letters:
-                entry = self.tab.pop((rb, letter), None)
-                if entry is None:
-                    continue
-                d, c = entry
-                moved = bridge * c  # proves W(ra)*letter*W(d)^-1
-                existing = self.tab.get((ra, letter))
-                if existing is None:
-                    self.tab[(ra, letter)] = (d, moved)
-                else:
-                    d2, c2 = existing
-                    queue.append((d, d2, moved.inverse() * c2))
-
-    def scan(self, start: int, ridx: int) -> None:
-        """Scan one relator at one coset, recording a deduction or
-        coincidence when the gap closes to one or zero; never defines."""
-        # once a scan closes cleanly it stays closed in every later quotient
-        if (start, ridx) in self.closed:
+        ra, ca = self.find(a)
+        rb, cb = self.find(b)
+        if ra == rb:
             return
-        r = self.relators[ridx]
-        n = len(r)
-        tab = self.tab
-        merged = self.merged
-        g = start
-        forward: list[Word] = []  # entry proofs, composed only when used
-        i = 0
-        while i < n:
-            entry = tab.get((g, r[i]))
-            if entry is None:
-                break
-            if entry[0] in merged:
-                entry = self.get(g, r[i])
-            g, c = entry
-            forward.append(c)
-            i += 1
-        if i == n:
-            # closed all the way round; g must coincide with start
-            if g != start:
-                self.merge(g, start, self._scan_proof(forward, start, ridx, ()))
-            else:
-                self.closed.add((start, ridx))
-            return
-        b = start
-        backward: list[Word] = []
-        j = n
-        while j > i:
-            letter = r[j - 1]
-            letter = (letter[0], -letter[1])
-            entry = tab.get((b, letter))
-            if entry is None:
-                break
-            if entry[0] in merged:
-                entry = self.get(b, letter)
-            b, c = entry
-            backward.append(c)
-            j -= 1
-        if j == i:
-            # both ends met with no gap: forward end g and backward end b
-            # name the same coset
-            if g != b:
-                self.merge(g, b, self._scan_proof(forward, start, ridx, backward))
-            return
-        if j == i + 1:
-            proof = self._scan_proof(forward, start, ridx, backward)
-            self.tab[(g, r[i])] = (b, proof)
-            self.tab[(b, (r[i][0], -r[i][1]))] = (g, proof.inverse())
-            self.enqueue(g)
-            self.enqueue(b)
+        bridge = _product((ca.inverse(), proof, cb))  # W(ra)*W(rb)^-1
+        if self.novelty_keys is not None:
+            core, conj = (self.words[ra] * self.words[rb].inverse()).cyclic_reduce()
+            if _cyclic_class_key(core) not in self.novelty_keys:
+                raise _NewTrivialWord(core, conj.inverse() * bridge * conj)
+        if rb < ra:
+            ra, rb, bridge = rb, ra, bridge.inverse()
+        self.merged[rb] = (ra, bridge.inverse())
 
-    def _scan_proof(self, forward: list[Word], start: int, ridx: int,
-                    backward) -> Word:
-        """(prod forward)^-1 * W(start) @ridx W(start)^-1 * prod backward.
+    def moved(self, gamma: int, x: int, delta: int) -> Word:
+        """Proof of W(mu)*x*W(nu)^-1 for the entry (gamma, x) = delta of a
+        dead coset, where mu and nu are the representatives of its ends."""
+        _, bg = self.find(gamma)
+        _, bd = self.find(delta)
+        return _product((bg.inverse(), self.proofs[gamma][x], bd))
 
-        The middle factor needs no reduction: "@ridx" cancels against no
-        generator letter, so it is W(start) and its inverse side by side
-        with the symbol between them."""
-        w = self.words[start]
-        rel_factor = _reduced(w.letters + (self.symbols[ridx],) + w.inverse().letters)
-        return _product([*(c.inverse() for c in reversed(forward)),
-                         rel_factor, *backward])
-
-    def drain(self) -> None:
-        while self.pending:
-            a = self.pending.pop()
-            self.queued.discard(a)
-            if a in self.merged:
-                continue
-            for ridx in range(len(self.relators)):
-                if a in self.merged:
-                    break
-                self.scan(a, ridx)
-
-    def run(self) -> None:
-        """Deduction-driven enumeration: propagate all scans, then define
-        the first undefined table entry, and repeat until complete."""
-        self.enqueue(0)
-        cursor = 0
-        n_letters = len(self.letters)
-        while True:
-            self.drain()
-            while cursor < len(self.words) * n_letters:
-                a, k = divmod(cursor, n_letters)
-                if a not in self.merged and (a, self.letters[k]) not in self.tab:
-                    break
-                cursor += 1
-            a, k = divmod(cursor, n_letters)
-            if a >= len(self.words):
-                # cursor exhausted; sweep once in case anything was missed
-                gap = next(((b, letter) for b in range(len(self.words))
-                            if b not in self.merged for letter in self.letters
-                            if (b, letter) not in self.tab), None)
-                if gap is None:
-                    return
-                self.define(*gap)
-            else:
-                self.define(a, self.letters[k])
+    def forced(self, moved: Word, c: int, y: int) -> Word:
+        """moved shows W(c)*y*W(o)^-1 and entry (c, y) = e is occupied:
+        proof of W(o)*W(e)^-1 for the merge of o and e this forces."""
+        return moved.inverse() * self.proofs[c][y]
 
     def trace(self, w: Word) -> Word:
         """Proof word whose expansion is w, valid once only coset 0 is live."""
         a = 0
-        proofs = []
+        parts = []
         for letter in w.letters:
-            entry = self.get(a, letter)
-            if entry is None:  # cannot happen on a complete table
-                raise NotFound(f"incomplete table at {letter}")
-            a, c = entry
-            proofs.append(c)
+            x = self.ct.col.get(letter)
+            if x is None:
+                raise NotFound(f"{letter[0]} is not a generator")
+            parts.append(self.proofs[a][x])
+            a = self.ct.table[a][x]
         if a != 0:
             raise NotFound(f"{w} does not return to the base coset")
-        return _product(proofs)
+        return _product(parts)
 
 
 @dataclass(frozen=True)
@@ -560,8 +462,8 @@ def derive_by_collapse(p: Presentation, target: Word,
                        search_states: int = 5_000) -> Derivation:
     """Derivation of target through the collapse of a trivial group.
 
-    Runs proof-logging coset enumerations over the relators plus the lemmas
-    found so far; each enumeration either completes (the group is certified
+    Runs proof-logging Felsch enumerations over the relators plus the
+    lemmas found so far; each enumeration either completes (the group is certified
     trivial and target is traced through the table) or surfaces one new
     short trivial word, which joins the lemma list with its extracted
     certificate, and the enumeration restarts.  Each lemma certificate is
@@ -573,14 +475,14 @@ def derive_by_collapse(p: Presentation, target: Word,
     nbase = len(rels)
     steps: list[Certificate] = []
     while True:
-        table = _ProvingTable(Presentation(p.generators, rels), max_cosets,
-                              novelty_keys={_cyclic_class_key(r) for r in rels})
+        current = Presentation(p.generators, rels)
+        log = _ProofLog({_cyclic_class_key(r) for r in rels})
+        ct = CosetTable(current, max_cosets=max_cosets, log=log)
         try:
-            table.run()
+            completed = _run_felsch(ct)
         except _NewTrivialWord as lemma:
             if len(steps) >= max_steps:
                 raise NotFound(f"no derivation within {max_steps} lemmas")
-            current = Presentation(p.generators, rels)
             try:
                 cert = search_certificate(
                     current, lemma.word, max_factors=8, max_conjugator_len=16,
@@ -590,9 +492,11 @@ def derive_by_collapse(p: Presentation, target: Word,
             steps.append(cert)
             rels.append(lemma.word)
             continue
-        if table.live != 1:
-            raise NotFound(f"group not certified trivial ({table.live} cosets)")
-        steps.append(Certificate(target, _proof_to_factors(table.trace(target))))
+        if not completed:
+            raise NotFound(f"coset limit {max_cosets} exceeded")
+        if ct.live_count != 1:
+            raise NotFound(f"group not certified trivial ({ct.live_count} cosets)")
+        steps.append(Certificate(target, _proof_to_factors(log.trace(target))))
         break
     d = Derivation(target, _prune_derivation(nbase, steps))
     if not verify_derivation(p, d):

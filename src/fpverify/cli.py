@@ -225,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search a consequence certificate for a word")
     p.add_argument("path")
     p.add_argument("--target", required=True, metavar="WORD")
-    p.add_argument("--max-factors", type=int, default=16)
-    p.add_argument("--max-conjugator-len", type=int, default=24)
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-factors", type=_int_at_least(0), default=16)
+    p.add_argument("--max-conjugator-len", type=_int_at_least(0), default=24)
+    p.add_argument("--max-states", type=_int_at_least(0), default=200_000)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("verify", help="replay registered scenarios")

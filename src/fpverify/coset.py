@@ -11,6 +11,15 @@ subgroup; reported statistics use the 1-based convention only in printing).
 Coincidences are handled by a union-find array processed to exhaustion
 before any new coset is defined.
 
+`CosetTable.scan` is the one two-sided trace of a word at a coset; with
+`fill` (HLT) it defines cosets until the trace closes.
+
+Proof logging.  A table may carry a proof log (`certificates._ProofLog`),
+called only where the table changes: a definition, a deduction closed by
+a scan, and each merge and moved entry of a coincidence.  The per-letter
+loops never touch it.  Its proofs are keyed by coset number, so a table
+with a log is never compacted.
+
 Lookahead.  When HLT with lookahead first hits the coset limit, one full
 sweep scans every relator at every live coset from the HLT pointer on.
 From then on the table pushes every entry it sets (a definition, a
@@ -76,7 +85,7 @@ class CosetTable:
     """Partial action table of generators on cosets with coincidence merging."""
 
     def __init__(self, presentation: Presentation, subgroup_gens=(),
-                 max_cosets: int = DEFAULT_MAX_COSETS):
+                 max_cosets: int = DEFAULT_MAX_COSETS, log=None):
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
         self.presentation = presentation
@@ -108,6 +117,9 @@ class CosetTable:
         self.track_deductions = False
         self.deductions: list[tuple[int, int]] = []
         self.complete = False
+        self.log = log
+        if log is not None:
+            log.attach(self)
 
     def _word_cols(self, w: Word) -> list[int]:
         return [self.col[let] for let in w]
@@ -139,9 +151,15 @@ class CosetTable:
         self.live_max = max(self.live_max, self.live_count)
         if self.track_deductions:
             self.deductions.append((alpha, x))
+        if self.log is not None:
+            self.log.define(alpha, x, beta)
         return beta
 
-    def _merge(self, k: int, l: int, queue: list[int]) -> None:
+    def _merge(self, k: int, l: int, queue: list[int], proof=None) -> None:
+        """Merge the classes of k and l; proof (with a log) shows
+        W(k)*W(l)^-1."""
+        if self.log is not None:
+            self.log.merge(k, l, proof)
         k = self.rep(k)
         l = self.rep(l)
         if k == l:
@@ -152,11 +170,12 @@ class CosetTable:
         self.coincidence_count += 1
         queue.append(hi)
 
-    def coincidence(self, alpha: int, beta: int) -> None:
+    def coincidence(self, alpha: int, beta: int, proof=None) -> None:
         queue: list[int] = []
-        self._merge(alpha, beta, queue)
+        self._merge(alpha, beta, queue, proof)
         qi = 0
         table = self.table
+        log = self.log
         while qi < len(queue):
             gamma = queue[qi]
             qi += 1
@@ -168,18 +187,30 @@ class CosetTable:
                 table[delta][x ^ 1] = None
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
+                if log is not None:
+                    moved = log.moved(gamma, x, delta)
                 if table[mu][x] is not None:
-                    self._merge(nu, table[mu][x], queue)
+                    self._merge(nu, table[mu][x], queue,
+                                None if log is None else log.forced(moved, mu, x))
                 elif table[nu][x ^ 1] is not None:
-                    self._merge(mu, table[nu][x ^ 1], queue)
+                    self._merge(mu, table[nu][x ^ 1], queue, None if log is None
+                                else log.forced(moved.inverse(), nu, x ^ 1))
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
+                    if log is not None:
+                        log.entry(mu, x, nu, moved)
                     if self.track_deductions:
                         self.deductions.append((mu, x))
 
-    def scan_and_fill(self, alpha: int, word: list[int]) -> None:
-        """HLT scan of word at alpha, defining cosets as needed."""
+    def scan(self, alpha: int, word: list[int], fill: bool = False) -> None:
+        """Two-sided scan of word at alpha.
+
+        Closes the trace by a deduction when exactly one entry is missing,
+        or merges cosets when the two ends disagree.  An incomplete trace
+        is left alone, unless fill is set (HLT): then cosets are defined
+        forward until the trace closes.
+        """
         table = self.table
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
@@ -189,57 +220,28 @@ class CosetTable:
                 if nxt is None:
                     break
                 f, i = nxt, i + 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
             while j >= i:
                 prv = table[b][word[j] ^ 1]
                 if prv is None:
                     break
                 b, j = prv, j - 1
             if j < i:
-                self.coincidence(f, b)
+                if f != b:
+                    self.coincidence(f, b, None if self.log is None
+                                     else self.log.scan(alpha, word, i, j))
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                x = word[i]
+                if self.log is not None:
+                    self.log.entry(f, x, b, self.log.scan(alpha, word, i, j))
+                table[f][x] = b
+                table[b][x ^ 1] = f
                 if self.track_deductions:
-                    self.deductions.append((f, word[i]))
+                    self.deductions.append((f, x))
+                return
+            if not fill:
                 return
             self.define(f, word[i])
-
-    def scan(self, alpha: int, word: list[int]) -> None:
-        """Scan without defining; used by lookahead and Felsch deductions.
-
-        Closes the trace by a deduction when exactly one entry is missing,
-        or merges cosets when the two ends disagree.
-        """
-        table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while i <= j:
-            nxt = table[f][word[i]]
-            if nxt is None:
-                break
-            f, i = nxt, i + 1
-        if i > j:
-            if f != b:
-                self.coincidence(f, b)
-            return
-        while j >= i:
-            prv = table[b][word[j] ^ 1]
-            if prv is None:
-                break
-            b, j = prv, j - 1
-        if j < i:
-            self.coincidence(f, b)
-        elif j == i:
-            table[f][word[i]] = b
-            table[b][word[i] ^ 1] = f
-            if self.track_deductions:
-                self.deductions.append((f, word[i]))
-        # else incomplete: nothing to do without defining
 
     # -- maintenance --------------------------------------------------------
 
@@ -268,6 +270,8 @@ class CosetTable:
         return mapping
 
     def maybe_compact(self) -> list[int | None] | None:
+        if self.log is not None:
+            return None  # proofs are keyed by coset number
         dead = len(self.table) - self.live_count
         if len(self.table) > 64 and dead / len(self.table) > COMPACTION_THRESHOLD:
             return self.compact()
@@ -384,7 +388,7 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
     """Returns True on completion, False when the limit is exceeded."""
     try:
         for word in ct.subgroup_cols:
-            ct.scan_and_fill(0, word)
+            ct.scan(0, word, True)
     except _LimitReached:
         return False
     by_first = None  # built at the first limit hit
@@ -396,7 +400,7 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
         try:
             died = False
             for word in ct.relator_cols:
-                ct.scan_and_fill(alpha, word)
+                ct.scan(alpha, word, True)
                 if ct.p[alpha] != alpha:
                     died = True
                     break
@@ -448,10 +452,11 @@ def _lookahead_pass(ct: CosetTable, start: int) -> None:
 
 
 def _run_felsch(ct: CosetTable) -> bool:
+    ct.track_deductions = True
     by_first = _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
-            ct.scan_and_fill(0, word)
+            ct.scan(0, word, True)
     except _LimitReached:
         return False
 
@@ -494,7 +499,6 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(), strategy: str = "hlt-loo
     start = time.monotonic()
     ct = CosetTable(p, subgroup_gens, max_cosets=max_cosets)
     if strategy == "felsch":
-        ct.track_deductions = True
         ok = _run_felsch(ct)
     else:
         ok = _run_hlt(ct, lookahead=(strategy == "hlt-lookahead"))

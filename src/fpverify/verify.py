@@ -151,8 +151,8 @@ def _eliminate_shortest(p: Presentation, gen: str) -> Presentation:
     return out
 
 
-def _run_elimination_scenario(s: Scenario, steps: _Steps,
-                              convention: str) -> None:
+def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
+                              max_cosets: int, strategy: str) -> None:
     base = s.presentation("base", convention=convention)
     new = s.presentation("new", convention=convention)
     frozen_raw = s.presentation("eliminated", convention=convention)
@@ -177,7 +177,8 @@ def _run_elimination_scenario(s: Scenario, steps: _Steps,
         check_equivalence(full, current, identity, bwd), {}))
 
 
-def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str) -> None:
+def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str,
+                         max_cosets: int, strategy: str) -> None:
     base = s.presentation("base", convention=convention)
     target = parse_word(s.expected["target"], convention=convention)
     if convention == CONVENTION_DEFAULT:
@@ -193,8 +194,8 @@ def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str) -> None:
         steps.timed("certificate", attempt)
 
 
-def _run_redundancy_scenario(s: Scenario, steps: _Steps,
-                             convention: str) -> None:
+def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
+                             max_cosets: int, strategy: str) -> None:
     full = s.presentation(convention=convention)
     indices = s.expected["certified_indices"]
     if convention == CONVENTION_DEFAULT:
@@ -229,23 +230,32 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps,
                 required=s.expected["redundant_count_at_least"])
 
 
+# Each scenario runs the one pipeline whose expected field it carries.
+_PIPELINES = {
+    "generator_count": _run_presentation_scenario,
+    "eliminate": _run_elimination_scenario,
+    "target": _run_derive_scenario,
+    "certified_indices": _run_redundancy_scenario,
+}
+
+
+def _pipeline(s: Scenario):
+    matches = [fn for key, fn in _PIPELINES.items() if key in s.expected]
+    if len(matches) != 1:
+        raise KeyError(f"scenario {s.id!r} matches {len(matches)} pipelines; "
+                       f"its expected fields must name exactly one of "
+                       f"{sorted(_PIPELINES)}")
+    return matches[0]
+
+
 def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
                  strategy: str = "hlt-lookahead") -> RunReport:
-    s = load_scenario(scenario_id)
+    # the run and its first step include loading and checksumming the corpus
     t0 = time.monotonic()
     steps = _Steps()
-    if s.id in ("pi1-E0-tilde", "eleven-new-relators", "pi1-N-full",
-                "pi1-N-reduced"):
-        _run_presentation_scenario(s, steps, convention, max_cosets, strategy)
-    elif s.id == "elimination-y-w":
-        _run_elimination_scenario(s, steps, convention)
-    elif s.id.startswith("derive-") or s.id == "conjugacy-x":
-        _run_derive_scenario(s, steps, convention)
-    elif s.id == "redundancy-nine":
-        _run_redundancy_scenario(s, steps, convention)
-    else:  # pragma: no cover - registry and dispatch kept in sync
-        raise KeyError(f"no pipeline registered for scenario {s.id!r}")
+    s = load_scenario(scenario_id)
+    _pipeline(s)(s, steps, convention, max_cosets, strategy)
     return RunReport(scenario=s.id, convention=convention,
                      steps=steps.results, source_claim=s.source_claim,
                      source_location=s.source_location,

@@ -24,11 +24,12 @@ from fpverify import (
 )
 from fpverify.certificates import (
     _NewTrivialWord,
-    _ProvingTable,
+    _ProofLog,
     certificate_product,
     conjugated_certificate,
     inverted_certificate,
 )
+from fpverify.coset import CosetTable, _run_felsch
 from fpverify.presentation import _cyclic_class_key
 
 from conftest import random_word, schema
@@ -244,6 +245,8 @@ TRIVIAL_GROUPS = (
     "< a | a^2, a^3 >",
     "< a, b | a b a^-1 b^-2, b a b^-1 a^-2 >",  # the collapse test group
     "< r, s | r^3, s^2, (r s)^2, r s r >",
+    # a coincidence here moves an entry both of whose ends are dead
+    "< a, b | a^-1 b a^-1, a^-1 b a^-1 b a^-1, a b^-1 a b^-2 >",
 )
 
 
@@ -260,12 +263,17 @@ def expand(proof, relators):
     return Word(out)
 
 
-def assert_entry_proofs(table, relators):
-    W = table.words
-    for (a, letter), (b, proof) in table.tab.items():
-        assert expand(proof, relators) == \
-            Word(W[a].letters + (letter,) + W[b].inverse().letters)
-    for c, (parent, proof) in table.merged.items():
+def assert_entry_proofs(log, relators):
+    """Every set entry of the logged table, in live and dead rows, and
+    every merge bridge expands to what it claims."""
+    W = log.words
+    for a, row in enumerate(log.ct.table):
+        for x, b in enumerate(row):
+            if b is not None:
+                assert expand(log.proofs[a][x], relators) == \
+                    Word(W[a].letters + log.letters[x].letters
+                         + W[b].inverse().letters)
+    for c, (parent, proof) in log.merged.items():
         assert expand(proof, relators) == \
             Word(W[c].letters + W[parent].inverse().letters)
 
@@ -273,20 +281,22 @@ def assert_entry_proofs(table, relators):
 @pytest.mark.parametrize("text", TRIVIAL_GROUPS)
 def test_proving_table_entry_proofs_expand_to_their_entries(text):
     p = parse_presentation(text)
-    table = _ProvingTable(p, max_cosets=1000)
-    table.run()
-    assert table.live == 1
-    assert_entry_proofs(table, p.relators)
+    log = _ProofLog()
+    ct = CosetTable(p, max_cosets=1000, log=log)
+    assert _run_felsch(ct)
+    assert ct.live_count == 1
+    assert log.merged  # the collapse went through merges
+    assert_entry_proofs(log, p.relators)
     for g in p.generators:
-        assert expand(table.trace(Word.gen(g)), p.relators) == Word.gen(g)
+        assert expand(log.trace(Word.gen(g)), p.relators) == Word.gen(g)
 
     # the lemma-surfacing run that derive_by_collapse makes stops mid-merge;
     # the entries recorded so far and the lemma's proof still hold
-    table = _ProvingTable(p, max_cosets=1000, novelty_keys={
-        _cyclic_class_key(r) for r in p.relators})
+    log = _ProofLog({_cyclic_class_key(r) for r in p.relators})
+    ct = CosetTable(p, max_cosets=1000, log=log)
     with pytest.raises(_NewTrivialWord) as lemma:
-        table.run()
-    assert_entry_proofs(table, p.relators)
+        _run_felsch(ct)
+    assert_entry_proofs(log, p.relators)
     assert expand(lemma.value.proof, p.relators) == lemma.value.word
 
 

@@ -97,6 +97,12 @@ def exit_code(capsys, *argv):
     (("tc", "--max-cosets", "ten"), "--max-cosets: not an integer"),
     (("verify", "--all", "--max-cosets", "0"), "--max-cosets: must be >= 1"),
     (("simplify", "--budget", "-1"), "--budget: must be >= 0, got -1"),
+    (("certify", "--target", "a", "--max-states", "-3"),
+     "--max-states: must be >= 0, got -3"),
+    (("certify", "--target", "a", "--max-factors", "-1"),
+     "--max-factors: must be >= 0, got -1"),
+    (("certify", "--target", "a", "--max-conjugator-len", "x"),
+     "--max-conjugator-len: not an integer"),
 ])
 def test_bad_integer_options_exit_2(capsys, argv, message):
     path = str(corpus_path("pi1-N-full.grp"))

@@ -12,8 +12,8 @@ from fpverify import (
     permutation_action,
     verify_trivial,
 )
-from fpverify.certificates import NotFound, _ProvingTable
-from fpverify.coset import STRATEGIES
+from fpverify.certificates import _ProofLog
+from fpverify.coset import STRATEGIES, CosetTable, _run_felsch
 
 
 # -- independent finite-group oracles ---------------------------------------
@@ -227,8 +227,8 @@ def test_limit_after_lookahead_keeps_a_consistent_table():
 
 
 def test_engines_agree_on_random_presentations():
-    # Without novelty keys the proof-logging table's proof words blow up in
-    # coincidence cascades (thousands of letters at 24 cosets on some of
+    # Without novelty keys the proof log's proof words blow up in
+    # coincidence cascades (thousands of letters at 20 cosets on some of
     # these inputs), so the limit stays small.
     limit = 20
     rng = random.Random(2)
@@ -245,12 +245,9 @@ def test_engines_agree_on_random_presentations():
             result = enumerate_cosets(p, (), strategy=strategy, max_cosets=limit)
             if result.completed:
                 indices[strategy] = result.index
-        table = _ProvingTable(p, max_cosets=limit)
-        try:
-            table.run()
-            indices["proof"] = table.live
-        except NotFound:
-            pass
+        table = CosetTable(p, max_cosets=limit, log=_ProofLog())
+        if _run_felsch(table):
+            indices["proof"] = table.live_count
         assert len(set(indices.values())) <= 1, (p, indices)
         if len(indices) == 4:
             all_completed += 1

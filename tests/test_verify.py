@@ -1,4 +1,9 @@
-from fpverify import run_all
+import time
+
+import pytest
+
+from fpverify import run_all, verify
+from fpverify.corpus import Scenario, list_scenarios
 
 
 def test_report_step_times_add_up_to_the_run():
@@ -11,3 +16,27 @@ def test_report_step_times_add_up_to_the_run():
         # the run outside its steps is only the pipeline dispatch
         assert report.elapsed_ms - total < 0.05 * report.elapsed_ms + 1.0, \
             (report.scenario, total, report.elapsed_ms)
+
+
+def test_report_time_includes_loading(monkeypatch):
+    load = verify.load_scenario
+
+    def slow_load(scenario_id):
+        time.sleep(0.02)
+        return load(scenario_id)
+
+    monkeypatch.setattr(verify, "load_scenario", slow_load)
+    report = verify.run_scenario("derive-gx2")
+    assert report.elapsed_ms >= 20
+    # the first step absorbs the load, so step times still add up
+    assert report.steps[0].elapsed_ms >= 20
+
+
+def test_every_scenario_matches_exactly_one_pipeline():
+    pipelines = {s.id: verify._pipeline(s) for s in list_scenarios()}
+    assert set(pipelines.values()) == set(verify._PIPELINES.values())
+    assert pipelines["redundancy-nine"] is verify._run_redundancy_scenario
+    for expected in ({"trivial": True}, {"target": "a", "eliminate": ["b"]}):
+        s = Scenario("made-up", "", {}, expected, "", "")
+        with pytest.raises(KeyError, match="made-up"):
+            verify._pipeline(s)

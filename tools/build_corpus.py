@@ -4,8 +4,13 @@
 Writes the literal presentation files, recomputes every derived artifact
 (the eliminated presentation, the equivalence certificates, the scenario
 certificates, the redundancy derivations), verifies each one before
-freezing it, and rewrites the checksum manifest.  Deterministic: rerunning
-reproduces byte-identical files.
+freezing it, and rewrites the checksum manifest.  Deterministic: a rerun
+writes the same files every time.  It reproduces the frozen corpus byte
+for byte except `redundancy-nine.derivations.json` and its manifest
+entry: those collapse chains were frozen from an earlier proof-logging
+enumerator, and a rerun writes different, shorter chains (9-19 steps for
+the seven deep relators instead of 12-30).  The frozen chains are pinned
+by the manifest and still verify; the corpus keeps them.
 """
 
 from __future__ import annotations
