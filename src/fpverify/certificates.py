@@ -171,7 +171,9 @@ def search_certificate(p: Presentation, target: Word,
     replacement still has a representative move.
 
     Raises NotFound when the bounds are exhausted; that is inconclusive.
+    Raises ValueError when target uses a generator outside p.
     """
+    p.check_word(target, "target")
     relators = p.relators + tuple(extra_relators)
     if not relators:
         if target.is_identity():
@@ -258,7 +260,10 @@ def _rebuild(target: Word, parents: dict) -> Certificate:
 # a coincidence moves, or each merge it forces, is proved from the entry it
 # came from and the bridges of its two ends.  When the enumeration
 # collapses to a single coset, tracing any word through the table
-# concatenates entry proofs into a certificate for that word.
+# concatenates entry proofs into a certificate for that word.  When a merge
+# first surfaces a trivial word outside the known relators, the merge's
+# bridge proof is that word's certificate, and `derive_by_collapse` keeps it
+# as it stands: the log is the only source of lemma certificates.
 
 
 # Proofs are kept as single freely reduced words over an extended alphabet:
@@ -402,9 +407,7 @@ class _ProofLog:
         a = 0
         parts = []
         for letter in w.letters:
-            x = self.ct.col.get(letter)
-            if x is None:
-                raise NotFound(f"{letter[0]} is not a generator")
+            x = self.ct.col[letter]
             parts.append(self.proofs[a][x])
             a = self.ct.table[a][x]
         if a != 0:
@@ -458,19 +461,19 @@ def verify_derivation(p: Presentation, d: Derivation) -> bool:
 
 def derive_by_collapse(p: Presentation, target: Word,
                        max_cosets: int = 100_000,
-                       max_steps: int = 500,
-                       search_states: int = 5_000) -> Derivation:
+                       max_steps: int = 500) -> Derivation:
     """Derivation of target through the collapse of a trivial group.
 
     Runs proof-logging Felsch enumerations over the relators plus the
     lemmas found so far; each enumeration either completes (the group is certified
     trivial and target is traced through the table) or surfaces one new
-    short trivial word, which joins the lemma list with its extracted
-    certificate, and the enumeration restarts.  Each lemma certificate is
-    re-searched with the splice search for compactness before being kept.
+    short trivial word, which joins the lemma list with the certificate
+    the proof log extracted for it, and the enumeration restarts.
     Only applicable when the presented group is trivial; raises NotFound
-    otherwise or when the bounds are exhausted.
+    otherwise or when the bounds are exhausted, and ValueError when target
+    uses a generator outside p.
     """
+    p.check_word(target, "target")
     rels = list(p.relators)
     nbase = len(rels)
     steps: list[Certificate] = []
@@ -483,13 +486,7 @@ def derive_by_collapse(p: Presentation, target: Word,
         except _NewTrivialWord as lemma:
             if len(steps) >= max_steps:
                 raise NotFound(f"no derivation within {max_steps} lemmas")
-            try:
-                cert = search_certificate(
-                    current, lemma.word, max_factors=8, max_conjugator_len=16,
-                    max_length_slack=10, max_states=search_states)
-            except NotFound:
-                cert = Certificate(lemma.word, _proof_to_factors(lemma.proof))
-            steps.append(cert)
+            steps.append(Certificate(lemma.word, _proof_to_factors(lemma.proof)))
             rels.append(lemma.word)
             continue
         if not completed:

@@ -19,7 +19,6 @@ from .certificates import NotFound, search_certificate
 from .corpus import list_scenarios
 from .coset import DEFAULT_MAX_COSETS, STRATEGIES, enumerate_cosets
 from .presentation import (
-    ParseError,
     load_presentation_file,
     parse_word,
     print_presentation,
@@ -75,7 +74,7 @@ def _load(path: str, convention: str):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 
@@ -96,14 +95,15 @@ def cmd_parse(args) -> int:
 
 def cmd_tc(args) -> int:
     p = _load(args.path, args.convention)
+    max_cosets = _max_cosets(args.max_cosets)
     try:
         subgroup = tuple(parse_word(w, convention=args.convention)
                          for w in args.subgroup)
-    except (ParseError, ValueError) as exc:
+        result = enumerate_cosets(p, subgroup, strategy=args.strategy,
+                                  max_cosets=max_cosets)
+    except ValueError as exc:  # a ParseError, or a generator outside p
         print(f"error: subgroup word: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    result = enumerate_cosets(p, subgroup, strategy=args.strategy,
-                              max_cosets=_max_cosets(args.max_cosets))
     _emit(result.to_json())
     return EXIT_PASS if result.completed else EXIT_LIMIT
 
@@ -128,14 +128,13 @@ def cmd_certify(args) -> int:
     p = _load(args.path, args.convention)
     try:
         target = parse_word(args.target, convention=args.convention)
-    except (ParseError, ValueError) as exc:
-        print(f"error: target word: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         cert = search_certificate(
             p, target, max_factors=args.max_factors,
             max_conjugator_len=args.max_conjugator_len,
             max_states=args.max_states)
+    except ValueError as exc:  # a ParseError, or a generator outside p
+        print(f"error: target word: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except NotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

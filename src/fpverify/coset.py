@@ -101,9 +101,7 @@ class CosetTable:
         rels = sorted(presentation.relators, key=len)
         self.relator_cols = [self._word_cols(r) for r in rels]
         for w in subgroup_gens:
-            unknown = w.generators() - set(self.gens)
-            if unknown:
-                raise ValueError(f"subgroup word {w} uses unknown generators {unknown}")
+            presentation.check_word(w, "subgroup word")
         self.subgroup_cols = [self._word_cols(w) for w in subgroup_gens]
 
         self.table: list[list[int | None]] = [[None] * self.ncols]

@@ -71,6 +71,7 @@ class Presentation:
         gens = tuple(check_generator_name(g) for g in generators)
         if len(set(gens)) != len(gens):
             raise ValueError(f"duplicate generator names in {gens}")
+        object.__setattr__(self, "generators", gens)
         kept = []
         for r in relators:
             core, _ = r.cyclic_reduce()
@@ -78,12 +79,9 @@ class Presentation:
                 if not r.is_identity():
                     warnings.warn(f"dropping trivial relator {r}")
                 continue
-            missing = core.generators() - set(gens)
-            if missing:
-                raise ValueError(f"relator {core} uses unknown generators {missing}")
+            self.check_word(core, "relator")
             kept.append(core)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(kept))
 
     def __setattr__(self, name, value):
@@ -99,6 +97,12 @@ class Presentation:
 
     def __repr__(self) -> str:
         return f"Presentation(< {', '.join(self.generators)} | {len(self.relators)} relators >)"
+
+    def check_word(self, w: Word, what: str) -> None:
+        """Raise ValueError when w uses a generator outside the presentation."""
+        unknown = w.generators() - set(self.generators)
+        if unknown:
+            raise ValueError(f"{what} {w} uses unknown generators {sorted(unknown)}")
 
     def with_relators(self, relators: Iterable[Word]) -> "Presentation":
         return Presentation(self.generators, relators, name=self.name)

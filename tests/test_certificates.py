@@ -22,6 +22,7 @@ from fpverify import (
     verify_certificate,
     verify_derivation,
 )
+from fpverify import certificates
 from fpverify.certificates import (
     _NewTrivialWord,
     _ProofLog,
@@ -29,6 +30,7 @@ from fpverify.certificates import (
     conjugated_certificate,
     inverted_certificate,
 )
+from fpverify.corpus import load_scenario
 from fpverify.coset import CosetTable, _run_felsch
 from fpverify.presentation import _cyclic_class_key
 
@@ -204,6 +206,56 @@ def test_derive_by_collapse_rejects_nontrivial_group():
     s3 = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
     with pytest.raises(NotFound):
         derive_by_collapse(s3, Word.gen("r"), max_cosets=500)
+
+
+def test_derive_by_collapse_keeps_the_logged_lemma_proofs(monkeypatch):
+    # the collapse of this group surfaces lemmas; their certificates are
+    # the proofs the log extracted, with no splice search behind them
+    def no_search(*args, **kwargs):
+        raise AssertionError("derive_by_collapse ran the splice search")
+
+    monkeypatch.setattr(certificates, "search_certificate", no_search)
+    p = parse_presentation("< a, b | a b a^-1 b^-2, b a b^-1 a^-2 >")
+    d = derive_by_collapse(p, Word.gen("a"))
+    assert len(d.steps) > 1
+    assert verify_derivation(p, d)
+
+
+# redundancy-nine's relators whose frozen derivations are collapse chains
+DEEP_REDUNDANT = (5, 6, 7, 8, 9, 11, 15)
+
+
+@pytest.mark.parametrize("i", DEEP_REDUNDANT)
+def test_deep_redundant_relators_derive_fresh(i):
+    s = load_scenario("redundancy-nine")
+    assert len(s.derivations()[i].steps) > 1
+    full = s.presentation()
+    rest = full.with_relators(
+        [r for j, r in enumerate(full.relators) if j != i])
+    d = derive_by_collapse(rest, full.relators[i])
+    assert d.target == full.relators[i]
+    assert verify_derivation(rest, d)
+
+
+def test_target_outside_the_presentation_is_an_input_error(monkeypatch):
+    # rejected before a search or an enumeration starts
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work on a target it cannot derive")
+
+    monkeypatch.setattr(certificates, "_splice_moves", no_work)
+    monkeypatch.setattr(certificates, "CosetTable", no_work)
+    p = parse_presentation("< a | a^2, a^3 >")
+    for derive in (search_certificate, derive_by_collapse):
+        with pytest.raises(ValueError, match="unknown generators"):
+            derive(p, Word([("a", 1), ("z", 1)]))
+
+
+def test_trace_must_return_to_the_base_coset():
+    log = _ProofLog()
+    ct = CosetTable(parse_presentation("< a | a^2 >"), log=log)
+    assert _run_felsch(ct) and ct.live_count == 2
+    with pytest.raises(NotFound, match="does not return"):
+        log.trace(Word.gen("a"))
 
 
 def test_derivation_to_certificate():

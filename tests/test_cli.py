@@ -131,6 +131,19 @@ def test_tc_subgroup(tmp_path, capsys):
     assert code == 0 and json.loads(out)["index"] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tc", "--subgroup", "zz"), "subgroup word"),
+    (("certify", "--target", "zz"), "target word"),
+])
+def test_word_outside_the_presentation_exits_2(tmp_path, capsys, argv,
+                                                message):
+    grp = tmp_path / "z3.grp"
+    grp.write_text("< a | a^3 >")
+    code, out, err = run(capsys, *argv, str(grp))
+    assert code == 2 and out == ""
+    assert message in err and "unknown generators ['zz']" in err
+
+
 def test_abelianize(capsys, tmp_path):
     code, out, _ = run(capsys, "abelianize",
                        str(corpus_path("pi1-E0-tilde.grp")))

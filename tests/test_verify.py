@@ -32,6 +32,17 @@ def test_report_time_includes_loading(monkeypatch):
     assert report.steps[0].elapsed_ms >= 20
 
 
+def test_presentation_scenario_computes_h1_once(monkeypatch):
+    calls = []
+    homology_h1 = verify.homology_h1
+    monkeypatch.setattr(verify, "homology_h1",
+                        lambda p: calls.append(p) or homology_h1(p))
+    report = verify.run_scenario("pi1-N-full")
+    assert report.status == "pass"
+    assert {"h1", "h1-cross-check"} <= {s.name for s in report.steps}
+    assert len(calls) == 1
+
+
 def test_every_scenario_matches_exactly_one_pipeline():
     pipelines = {s.id: verify._pipeline(s) for s in list_scenarios()}
     assert set(pipelines.values()) == set(verify._PIPELINES.values())
