@@ -17,7 +17,12 @@ import sys
 from . import __version__
 from .certificates import NotFound, search_certificate
 from .corpus import list_scenarios
-from .coset import DEFAULT_MAX_COSETS, STRATEGIES, enumerate_cosets
+from .coset import (
+    DEFAULT_MAX_COSETS,
+    DEFAULT_STRATEGY,
+    STRATEGIES,
+    enumerate_cosets,
+)
 from .presentation import (
     load_presentation_file,
     parse_word,
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tc", help="run Todd-Coxeter coset enumeration")
     p.add_argument("path")
-    p.add_argument("--strategy", choices=STRATEGIES, default="hlt-lookahead")
+    p.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
     p.add_argument("--max-cosets", type=_int_at_least(1), default=None)
     p.add_argument("--subgroup", action="append", default=[],
                    metavar="WORD", help="subgroup generator (repeatable)")
@@ -235,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one of: " + ", ".join(
                            s.id for s in list_scenarios()))
     group.add_argument("--all", action="store_true")
-    p.add_argument("--strategy", choices=STRATEGIES, default="hlt-lookahead")
+    p.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
     p.add_argument("--max-cosets", type=_int_at_least(1), default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

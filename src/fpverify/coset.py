@@ -20,17 +20,23 @@ a scan, and each merge and moved entry of a coincidence.  The per-letter
 loops never touch it.  Its proofs are keyed by coset number, so a table
 with a log is never compacted.
 
+Deductions.  A coincidence pushes every entry it moves onto the table's
+deduction stack; Felsch, and HLT with lookahead after its sweep, also push
+every definition and every deduction a scan closes.  After each relator
+scan and each definition, both HLT strategies pop the stack and scan, as
+Felsch does, the cyclic conjugates of the relators and their inverses that
+begin with each changed entry.  That is Felsch's deduction rule inside
+HLT's definition order: the consequences of a merge are found at once,
+not when the HLT pointer reaches the cosets it touched.
+
 Lookahead.  When HLT with lookahead first hits the coset limit, one full
-sweep scans every relator at every live coset from the HLT pointer on.
-From then on the table pushes every entry it sets (a definition, a
-deduction, or an entry moved by a coincidence) onto a deduction stack, and
-each later limit hit pops that stack and scans, as Felsch does, the cyclic
-conjugates of the relators and their inverses that begin with each changed
-entry.  New deductions and coincidences come from traces through changed
-entries, so a later pass costs what changed rather than the whole table.
-Lookahead only scans and never defines a coset, so every deduction and
-coincidence it makes follows from the relators: a completed table is still
-validated, and hitting the limit stays inconclusive.
+sweep scans every relator at every live coset from the HLT pointer on, and
+from then on the table pushes every entry it sets, so the table stays
+closed under Felsch's rule; a later limit hit only drains what the
+interrupted scan left.  Neither the deduction rule nor the sweep ever
+defines a coset, so every deduction and coincidence they make follows from
+the relators: a completed table is still validated, and hitting the limit
+stays inconclusive.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .presentation import Presentation
 from .words import Word
 
 STRATEGIES = ("hlt", "hlt-lookahead", "felsch")
+DEFAULT_STRATEGY = "hlt-lookahead"
 DEFAULT_MAX_COSETS = 1_000_000
 
 # dead-coset fraction that triggers table compaction
@@ -82,7 +89,11 @@ class EnumerationResult:
 
 
 class CosetTable:
-    """Partial action table of generators on cosets with coincidence merging."""
+    """Partial action table of generators on cosets with coincidence merging.
+
+    `deductions` is a stack of changed entries (coset, column).  Every entry
+    a coincidence moves is pushed onto it; definitions and the deductions a
+    scan closes are pushed only while `track_deductions` is set."""
 
     def __init__(self, presentation: Presentation, subgroup_gens=(),
                  max_cosets: int = DEFAULT_MAX_COSETS, log=None):
@@ -198,8 +209,7 @@ class CosetTable:
                     table[nu][x ^ 1] = mu
                     if log is not None:
                         log.entry(mu, x, nu, moved)
-                    if self.track_deductions:
-                        self.deductions.append((mu, x))
+                    self.deductions.append((mu, x))
 
     def scan(self, alpha: int, word: list[int], fill: bool = False) -> None:
         """Two-sided scan of word at alpha.
@@ -384,12 +394,13 @@ def _process_deductions(ct: CosetTable,
 
 def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
     """Returns True on completion, False when the limit is exceeded."""
+    by_first = _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
             ct.scan(0, word, True)
     except _LimitReached:
         return False
-    by_first = None  # built at the first limit hit
+    _process_deductions(ct, by_first)
     alpha = 0
     while alpha < len(ct.table):
         if ct.p[alpha] != alpha:
@@ -399,6 +410,8 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
             died = False
             for word in ct.relator_cols:
                 ct.scan(alpha, word, True)
+                if ct.deductions:
+                    _process_deductions(ct, by_first)
                 if ct.p[alpha] != alpha:
                     died = True
                     break
@@ -409,15 +422,15 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
                         break
                     if ct.table[alpha][x] is None:
                         ct.define(alpha, x)
+                        if ct.deductions:
+                            _process_deductions(ct, by_first)
         except _LimitReached:
             if not lookahead:
                 return False
             ct.lookahead_passes += 1
-            if by_first is None:
-                by_first = _relator_conjugates(ct)
+            if not ct.track_deductions:
                 _lookahead_pass(ct, alpha)
-            else:
-                _process_deductions(ct, by_first)
+            _process_deductions(ct, by_first)
             if ct.live_count >= ct.max_cosets:
                 return False
             alpha = ct.rep(alpha)
@@ -432,9 +445,9 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
 
 
 def _lookahead_pass(ct: CosetTable, start: int) -> None:
-    """The first lookahead pass: scan every relator at every live coset
-    from the HLT pointer on, and start recording changed entries so that
-    later passes scan only through them (`_process_deductions`).
+    """The lookahead sweep: scan every relator at every live coset from the
+    HLT pointer on, and from then on track every entry the table sets, so
+    that it stays closed under Felsch's deduction rule.
 
     Every live coset below the pointer has a complete row and every relator
     closes at it; a closed trace stays closed through coincidences, so
@@ -488,7 +501,8 @@ def _run_felsch(ct: CosetTable) -> bool:
             return False
 
 
-def enumerate_cosets(p: Presentation, subgroup_gens=(), strategy: str = "hlt-lookahead",
+def enumerate_cosets(p: Presentation, subgroup_gens=(),
+                     strategy: str = DEFAULT_STRATEGY,
                      max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
     """Run coset enumeration; on completion the result carries the finished,
     validated, standardized table."""
@@ -499,7 +513,7 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(), strategy: str = "hlt-loo
     if strategy == "felsch":
         ok = _run_felsch(ct)
     else:
-        ok = _run_hlt(ct, lookahead=(strategy == "hlt-lookahead"))
+        ok = _run_hlt(ct, lookahead=(strategy != "hlt"))
     elapsed = (time.monotonic() - start) * 1000.0
     if ok:
         ct.compact()
@@ -515,7 +529,7 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(), strategy: str = "hlt-loo
 
 
 def verify_trivial(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
-                   strategy: str = "hlt-lookahead") -> tuple[bool, EnumerationResult]:
+                   strategy: str = DEFAULT_STRATEGY) -> tuple[bool, EnumerationResult]:
     """(True, result) iff enumeration over the trivial subgroup completes
     with index 1.  False never asserts nontriviality."""
     result = enumerate_cosets(p, (), strategy=strategy, max_cosets=max_cosets)

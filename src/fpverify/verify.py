@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .certificates import (
-    Derivation,
     NotFound,
     check_equivalence,
     derive_by_collapse,
@@ -25,7 +24,7 @@ from .certificates import (
     verify_derivation,
 )
 from .corpus import Scenario, list_scenarios, load_scenario
-from .coset import DEFAULT_MAX_COSETS, enumerate_cosets
+from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
 from .presentation import (
     Presentation,
     _defining_forms,
@@ -137,7 +136,9 @@ def _run_presentation_scenario(s: Scenario, steps: _Steps, convention: str,
             status = "pass" if result.index == 1 else "fail"
         else:
             status = "limit"
-        steps.record("triviality", status, enumeration=result.to_json())
+        steps.record("triviality", status, enumeration=result.to_json(),
+                     lookahead_passes=result.lookahead_passes,
+                     compactions=result.compactions)
         # independent cross-check: a trivial group must have trivial H1
         steps.check("h1-cross-check", h1.is_trivial(), computed=h1.to_json())
 
@@ -214,11 +215,7 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
             nsteps = len(d.steps)
         else:
             try:
-                try:
-                    d = Derivation(target,
-                                   (search_certificate(rest, target),))
-                except NotFound:
-                    d = derive_by_collapse(rest, target)
+                d = derive_by_collapse(rest, target)
                 ok = verify_derivation(rest, d)
                 nsteps = len(d.steps)
             except NotFound as exc:
@@ -250,7 +247,7 @@ def _pipeline(s: Scenario):
 
 def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
-                 strategy: str = "hlt-lookahead") -> RunReport:
+                 strategy: str = DEFAULT_STRATEGY) -> RunReport:
     # the run and its first step include loading and checksumming the corpus
     t0 = time.monotonic()
     steps = _Steps()
@@ -264,7 +261,7 @@ def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
 
 def run_all(convention: str = CONVENTION_DEFAULT,
             max_cosets: int = DEFAULT_MAX_COSETS,
-            strategy: str = "hlt-lookahead") -> list[RunReport]:
+            strategy: str = DEFAULT_STRATEGY) -> list[RunReport]:
     return [run_scenario(s.id, convention=convention, max_cosets=max_cosets,
                          strategy=strategy)
             for s in list_scenarios()]

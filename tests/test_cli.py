@@ -202,6 +202,25 @@ def test_verify_json_schema(capsys):
         assert report["convention"] == "default"
 
 
+def triviality_detail(capsys, *argv):
+    code, out, _ = run(capsys, "verify", "--scenario", "pi1-N-full", "--json",
+                       *argv)
+    report = json.loads(out)["reports"][0]
+    validate(report, "report")
+    step = next(s for s in report["steps"] if s["name"] == "triviality")
+    validate(step["detail"]["enumeration"], "enumeration")
+    return code, step["detail"]
+
+
+def test_triviality_step_reports_lookahead_and_compactions(capsys):
+    code, detail = triviality_detail(capsys)
+    assert code == 0
+    assert (detail["lookahead_passes"], detail["compactions"]) == (0, 2)
+    code, detail = triviality_detail(capsys, "--max-cosets", "100")
+    assert code == 3
+    assert detail["lookahead_passes"] >= 1
+
+
 def test_verify_limit_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--scenario", "pi1-N-reduced",
                        "--max-cosets", "100")

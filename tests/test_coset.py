@@ -13,6 +13,7 @@ from fpverify import (
     verify_trivial,
 )
 from fpverify.certificates import _ProofLog
+from fpverify.corpus import load_corpus_presentation
 from fpverify.coset import STRATEGIES, CosetTable, _run_felsch
 
 
@@ -148,8 +149,8 @@ def test_monotone_limits():
 
 
 @pytest.mark.parametrize("text, limit, index, defined, coincidences", [
-    ("< a, b | a^2, b^3, (a b)^5 >", 61, 60, 70, 10),
-    ("< x, y | x^2, y^3, (x y)^4 >", 25, 24, 27, 3),
+    ("< a, b | a^2, b^3, (a b)^5 >", 61, 60, 69, 9),
+    ("< x, y | x^2, y^3, (x y)^4 >", 25, 24, 26, 2),
 ])
 def test_lookahead_completes_where_hlt_stops(text, limit, index, defined,
                                              coincidences):
@@ -169,16 +170,31 @@ def test_lookahead_passes_from_the_deduction_stack():
     p = parse_presentation("< a, b | a^2, b^3, (a b)^7, [a, b]^4 >")
     hlt = enumerate_cosets(p, (), strategy="hlt", max_cosets=168)
     assert hlt.status == "LimitExceeded"
-    assert (hlt.cosets_defined_total, hlt.coincidences) == (183, 15)
+    assert (hlt.cosets_defined_total, hlt.coincidences) == (226, 58)
     result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=168)
     assert result.completed and result.index == 168
     assert (result.cosets_defined_total, result.coincidences) == (264, 96)
-    # one full sweep, then two passes over the deduction stack; they free
-    # 60, 19 and 2 cosets, and the table completes only after the third
-    assert result.lookahead_passes == 3
+    # one full sweep at the limit frees 38 cosets; from then on every entry
+    # the table sets is processed at once, so the limit is not hit again
+    assert result.lookahead_passes == 1
     assert result.compactions == 1  # the final one, before validation
     unlimited = enumerate_cosets(p, (), strategy="hlt-lookahead")
     assert result.table.table == unlimited.table.table
+
+
+@pytest.mark.parametrize("filename, defined", [
+    ("pi1-N-full.grp", 3_332),
+    ("pi1-N-reduced.grp", 24_823),
+])
+def test_hlt_processes_coincidence_moved_entries(filename, defined):
+    # processing the entries each coincidence moves as deductions cuts
+    # plain HLT's 17,203 and 32,774 definitions on these inputs
+    p = load_corpus_presentation(filename)
+    for strategy in ("hlt", "hlt-lookahead"):
+        result = enumerate_cosets(p, (), strategy=strategy)
+        assert result.completed and result.index == 1
+        assert result.cosets_defined_total == defined, strategy
+        assert result.lookahead_passes == 0
 
 
 def test_lookahead_at_tight_limits_on_random_presentations():
@@ -188,7 +204,7 @@ def test_lookahead_at_tight_limits_on_random_presentations():
         return Word((rng.choice("ab"), rng.choice((1, -1)))
                     for _ in range(rng.randint(shortest, longest)))
 
-    from_stack = 0
+    from_stack = rescued = 0
     for _ in range(100):
         w = word(3, 5)
         p = Presentation("ab", [parse_word("a^2"), parse_word("b^3"),
@@ -210,15 +226,18 @@ def test_lookahead_at_tight_limits_on_random_presentations():
             if ahead.completed:
                 assert ahead.table.table == free.table.table, (p, subgroup)
                 from_stack += ahead.lookahead_passes >= 2
-    # completions that needed a pass over the deduction stack
-    assert from_stack >= 20
+                rescued += not hlt.completed
+    # completions that hit the limit again after the sweep
+    assert from_stack >= 6
+    # completions where hlt stops at the same limit
+    assert rescued >= 95
 
 
 def test_limit_after_lookahead_keeps_a_consistent_table():
     p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
     result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=47)
     assert result.status == "LimitExceeded"
-    assert (result.cosets_defined_total, result.coincidences) == (53, 6)
+    assert (result.cosets_defined_total, result.coincidences) == (52, 5)
     ct = result.table
     assert len(ct.table) > ct.live_count  # dead rows are kept, not compacted
     assert ct.check_involution()

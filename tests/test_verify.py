@@ -51,3 +51,14 @@ def test_every_scenario_matches_exactly_one_pipeline():
         s = Scenario("made-up", "", {}, expected, "", "")
         with pytest.raises(KeyError, match="made-up"):
             verify._pipeline(s)
+
+
+def test_gap_redundancy_derives_by_collapse_alone(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("search_certificate called")
+
+    monkeypatch.setattr(verify, "search_certificate", no_search)
+    report = verify.run_scenario("redundancy-nine", convention="gap")
+    assert report.status == "pass"
+    count = next(s for s in report.steps if s.name == "count")
+    assert count.detail["certified"] == 11
