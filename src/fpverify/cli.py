@@ -147,10 +147,7 @@ def cmd_certify(args) -> int:
     return EXIT_PASS
 
 
-def _print_report(report, as_json: bool) -> None:
-    if as_json:
-        _emit(report.to_json())
-        return
+def _print_report(report) -> None:
     print(f"{report.scenario}: {report.status.upper()} "
           f"(convention={report.convention}, "
           f"{report.elapsed_ms / 1000.0:.1f}s)")
@@ -182,7 +179,7 @@ def cmd_verify(args) -> int:
         _emit({"reports": [r.to_json() for r in reports]})
     else:
         for r in reports:
-            _print_report(r, as_json=False)
+            _print_report(r)
     statuses = {r.status for r in reports}
     if "fail" in statuses:
         return EXIT_MISMATCH

@@ -21,19 +21,17 @@ loops never touch it.  Its proofs are keyed by coset number, so a table
 with a log is never compacted.
 
 Deductions.  A coincidence pushes every entry it moves onto the table's
-deduction stack; Felsch, and HLT with lookahead after its sweep, also push
-every definition and every deduction a scan closes.  After each relator
-scan and each definition, both HLT strategies pop the stack and scan, as
-Felsch does, the cyclic conjugates of the relators and their inverses that
-begin with each changed entry.  That is Felsch's deduction rule inside
-HLT's definition order: the consequences of a merge are found at once,
-not when the HLT pointer reaches the cosets it touched.
+deduction stack; Felsch also pushes every definition and every deduction
+a scan closes.  After each relator scan and each definition, both HLT
+strategies pop the stack and scan, as Felsch does, the cyclic conjugates
+of the relators and their inverses that begin with each changed entry.
+That is Felsch's deduction rule inside HLT's definition order: the
+consequences of a merge are found at once, not when the HLT pointer
+reaches the cosets it touched.
 
-Lookahead.  When HLT with lookahead first hits the coset limit, one full
-sweep scans every relator at every live coset from the HLT pointer on, and
-from then on the table pushes every entry it sets, so the table stays
-closed under Felsch's rule; a later limit hit only drains what the
-interrupted scan left.  Neither the deduction rule nor the sweep ever
+Lookahead.  When HLT with lookahead hits the coset limit, one sweep scans
+every relator at every live coset from the HLT pointer on, and then
+Felsch finishes the table.  Neither the deduction rule nor the sweep ever
 defines a coset, so every deduction and coincidence they make follows from
 the relators: a completed table is still validated, and hitting the limit
 stays inconclusive.
@@ -70,7 +68,7 @@ class EnumerationResult:
     elapsed_ms: float
     table: "CosetTable | None" = None
     lookahead_passes: int = 0
-    compactions: int = 0
+    compactions: int = 0        # during the run; not standardize()
 
     @property
     def completed(self) -> bool:
@@ -308,7 +306,8 @@ class CosetTable:
         self.p = list(range(len(order)))
 
     def validate(self) -> None:
-        """Check involution consistency, closed relator traces, and subgroup
+        """Check that every live row is complete and points at live cosets,
+        involution consistency, closed relator traces, and subgroup
         generator stabilization on a complete table."""
         live = self.live_cosets()
         for alpha in live:
@@ -316,7 +315,9 @@ class CosetTable:
                 beta = self.table[alpha][x]
                 if beta is None:
                     raise AssertionError(f"incomplete entry ({alpha}, {x})")
-                if self.table[self.rep(beta)][x ^ 1] != alpha:
+                if self.p[beta] != beta:
+                    raise AssertionError(f"dead coset at ({alpha}, {x})")
+                if self.table[beta][x ^ 1] != alpha:
                     raise AssertionError(f"involution broken at ({alpha}, {x})")
         for word in self.relator_cols:
             for alpha in live:
@@ -393,7 +394,9 @@ def _process_deductions(ct: CosetTable,
 
 
 def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
-    """Returns True on completion, False when the limit is exceeded."""
+    """Returns True on completion, False when the limit is exceeded.  With
+    lookahead, the first limit hit runs one sweep and hands the table to
+    Felsch."""
     by_first = _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
@@ -402,56 +405,50 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
         return False
     _process_deductions(ct, by_first)
     alpha = 0
-    while alpha < len(ct.table):
-        if ct.p[alpha] != alpha:
-            alpha += 1
-            continue
-        try:
-            died = False
+    try:
+        while alpha < len(ct.table):
+            if ct.p[alpha] != alpha:
+                alpha += 1
+                continue
             for word in ct.relator_cols:
                 ct.scan(alpha, word, True)
                 if ct.deductions:
                     _process_deductions(ct, by_first)
                 if ct.p[alpha] != alpha:
-                    died = True
                     break
-            if not died:
+            else:
                 for x in range(ct.ncols):
                     if ct.p[alpha] != alpha:
-                        died = True
                         break
                     if ct.table[alpha][x] is None:
                         ct.define(alpha, x)
                         if ct.deductions:
                             _process_deductions(ct, by_first)
-        except _LimitReached:
-            if not lookahead:
-                return False
-            ct.lookahead_passes += 1
-            if not ct.track_deductions:
-                _lookahead_pass(ct, alpha)
-            _process_deductions(ct, by_first)
-            if ct.live_count >= ct.max_cosets:
-                return False
-            alpha = ct.rep(alpha)
-            continue  # retry the pointer coset (or its representative)
-        alpha_rep = ct.rep(alpha)
-        mapping = ct.maybe_compact()
-        if mapping is not None:
-            alpha = mapping[alpha_rep]
-        alpha += 1
+            alpha_rep = ct.rep(alpha)
+            mapping = ct.maybe_compact()
+            if mapping is not None:
+                alpha = mapping[alpha_rep]
+            alpha += 1
+    except _LimitReached:
+        if not lookahead:
+            return False
+        ct.lookahead_passes += 1
+        _lookahead_pass(ct, alpha)
+        return _run_felsch(ct)
     ct.complete = True
     return True
 
 
 def _lookahead_pass(ct: CosetTable, start: int) -> None:
     """The lookahead sweep: scan every relator at every live coset from the
-    HLT pointer on, and from then on track every entry the table sets, so
-    that it stays closed under Felsch's deduction rule.
+    HLT pointer on, tracking every entry the table sets from then on, so
+    that Felsch can finish the table.
 
     Every live coset below the pointer has a complete row and every relator
     closes at it; a closed trace stays closed through coincidences, so
-    scanning there can deduce or merge nothing."""
+    scanning there can deduce or merge nothing.  The cosets from the
+    pointer on were never scanned under Felsch's rule, so the sweep is what
+    makes the hand-off sound."""
     ct.track_deductions = True
     for alpha in range(start, len(ct.table)):
         if ct.p[alpha] != alpha:
@@ -516,7 +513,6 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
         ok = _run_hlt(ct, lookahead=(strategy != "hlt"))
     elapsed = (time.monotonic() - start) * 1000.0
     if ok:
-        ct.compact()
         ct.validate()
         ct.standardize()
     return EnumerationResult(

@@ -215,10 +215,31 @@ def triviality_detail(capsys, *argv):
 def test_triviality_step_reports_lookahead_and_compactions(capsys):
     code, detail = triviality_detail(capsys)
     assert code == 0
-    assert (detail["lookahead_passes"], detail["compactions"]) == (0, 2)
+    # one compaction during the run; standardize() renumbers the result
+    assert (detail["lookahead_passes"], detail["compactions"]) == (0, 1)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
     assert detail["lookahead_passes"] >= 1
+
+
+def test_verify_all_json(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert reports
+    for report in reports:
+        validate(report, "report")
+
+
+def test_gap_convention_full_presentation_is_trivial(capsys):
+    code, out, _ = run(capsys, "--convention", "gap", "verify", "--scenario",
+                       "pi1-N-full", "--json")
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    validate(report, "report")
+    step = next(s for s in report["steps"] if s["name"] == "triviality")
+    assert step["status"] == "pass"
+    assert step["detail"]["enumeration"]["index"] == 1
 
 
 def test_verify_limit_exit_code(capsys):
