@@ -125,18 +125,12 @@ def test_permutation_action_requires_complete_table():
 
 def test_subgroup_index():
     s3 = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
-    result = enumerate_cosets(s3, (Word.gen("r"),))
-    assert result.completed and result.index == 2
-    assert result.table.trace_word(0, Word.gen("r")) == 0
-
-
-def test_felsch_with_subgroup_generators():
-    s3 = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
-    r = (Word.gen("r"),)
-    felsch = enumerate_cosets(s3, r, strategy="felsch")
-    hlt = enumerate_cosets(s3, r, strategy="hlt")
-    assert felsch.completed and felsch.index == 2
-    assert felsch.table.table == hlt.table.table
+    results = [enumerate_cosets(s3, (Word.gen("r"),), strategy=strategy)
+               for strategy in STRATEGIES]
+    for result in results:
+        assert result.completed and result.index == 2
+        assert result.table.trace_word(0, Word.gen("r")) == 0
+        assert result.table.table == results[0].table.table
 
 
 def test_felsch_stops_in_its_subgroup_scan():
@@ -152,7 +146,8 @@ def test_felsch_compacts_during_the_run():
     result = enumerate_cosets(p, (), strategy="felsch")
     assert result.completed and result.index == 1
     assert result.cosets_defined_total == 877
-    assert result.compactions >= 1
+    # one during the run, and the final one before validation
+    assert result.compactions == 2
 
 
 def test_limit_exceeded_statistics():
@@ -202,10 +197,22 @@ def test_lookahead_passes_from_the_deduction_stack():
     # one sweep at the limit frees 38 cosets, and Felsch finishes the
     # table without hitting the limit again
     assert result.lookahead_passes == 1
-    # the completed table is renumbered by standardize() alone
-    assert result.compactions == 0
+    assert result.compactions == 1  # the final one, before validation
     unlimited = enumerate_cosets(p, (), strategy="hlt-lookahead")
     assert result.table.table == unlimited.table.table
+
+
+def test_lookahead_hand_off_can_stop_where_felsch_completes():
+    # A known limitation of the hand-off: Felsch inherits HLT's cosets
+    # and stops at a limit that Felsch from scratch fits in.
+    p = parse_presentation("< a, b, c | c^2 b^3 c^-1 a^-1, b a^-1 b a b, "
+                           "a^-1 b a^-1 b^-1 c, b^-2 >")
+    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=9)
+    assert result.status == "LimitExceeded"
+    assert (result.cosets_defined_total, result.coincidences) == (11, 2)
+    assert result.lookahead_passes == 1
+    felsch = enumerate_cosets(p, (), strategy="felsch", max_cosets=9)
+    assert felsch.completed and felsch.index == 1
 
 
 @pytest.mark.parametrize("filename, defined", [
