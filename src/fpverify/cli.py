@@ -3,8 +3,8 @@
 Subcommands: parse, tc, abelianize, simplify, certify, verify.
 
 Exit codes: 0 pass, 1 verification mismatch (or certificate not found),
-2 input error, 3 resource limit.  FPVERIFY_MAX_COSETS overrides the default
-coset limit.
+2 input error, 3 resource limit, 141 stdout closed early (128 + SIGPIPE).
+FPVERIFY_MAX_COSETS overrides the default coset limit.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports for a killed writer
 
 
 def _max_cosets(flag: int | None) -> int:
@@ -246,7 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        # flush here, so that a closed pipe is met inside the guard
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Todd-Coxeter coset enumeration.
 
 Enumerates cosets of a finitely generated subgroup (possibly trivial) in a
-finitely presented group.  Strategies: HLT, HLT with lookahead (default),
-and Felsch.  Completion yields the subgroup index and a complete coset
-table; hitting the coset limit is reported as a result, not an exception.
+finitely presented group.  Strategies: HLT (default) and Felsch.
+Completion yields the subgroup index and a complete coset table; hitting
+the coset limit is reported as a result, not an exception.  At tight
+coset limits Felsch often completes where HLT stops.
 
 The table layout follows the standard scheme: one column per generator and
 per inverse generator, rows are cosets (0-based internally, coset 0 is the
@@ -22,19 +23,12 @@ with a log is never compacted.
 
 Deductions.  A coincidence pushes every entry it moves onto the table's
 deduction stack; Felsch also pushes every definition and every deduction
-a scan closes.  After each relator scan and each definition, both HLT
-strategies pop the stack and scan, as Felsch does, the cyclic conjugates
-of the relators and their inverses that begin with each changed entry.
-That is Felsch's deduction rule inside HLT's definition order: the
-consequences of a merge are found at once, not when the HLT pointer
-reaches the cosets it touched.
-
-Lookahead.  When HLT with lookahead hits the coset limit, one sweep scans
-every relator at every live coset from the HLT pointer on, and then
-Felsch finishes the table.  Neither the deduction rule nor the sweep ever
-defines a coset, so every deduction and coincidence they make follows from
-the relators: a completed table is still validated, and hitting the limit
-stays inconclusive.
+a scan closes.  After each relator scan and each definition, HLT pops
+the stack and scans, as Felsch does, the cyclic conjugates of the
+relators and their inverses that begin with each changed entry.  That is
+Felsch's deduction rule inside HLT's definition order: the consequences
+of a merge are found at once, not when the HLT pointer reaches the
+cosets it touched.
 """
 
 from __future__ import annotations
@@ -45,8 +39,8 @@ from dataclasses import dataclass
 from .presentation import Presentation
 from .words import Word
 
-STRATEGIES = ("hlt", "hlt-lookahead", "felsch")
-DEFAULT_STRATEGY = "hlt-lookahead"
+STRATEGIES = ("hlt", "felsch")
+DEFAULT_STRATEGY = "hlt"
 DEFAULT_MAX_COSETS = 1_000_000
 
 # dead-coset fraction that triggers table compaction
@@ -67,7 +61,6 @@ class EnumerationResult:
     strategy: str
     elapsed_ms: float
     table: "CosetTable | None" = None
-    lookahead_passes: int = 0
     compactions: int = 0
 
     @property
@@ -119,7 +112,6 @@ class CosetTable:
         self.defined_total = 1
         self.live_max = 1
         self.coincidence_count = 0
-        self.lookahead_passes = 0
         self.compactions = 0
         self.track_deductions = False
         self.deductions: list[tuple[int, int]] = []
@@ -390,19 +382,14 @@ def _process_deductions(ct: CosetTable,
                     break
 
 
-def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
-    """Returns True on completion, False when the limit is exceeded.  With
-    lookahead, the first limit hit runs one sweep and hands the table to
-    Felsch."""
+def _run_hlt(ct: CosetTable) -> bool:
+    """Returns True on completion, False when the limit is exceeded."""
     by_first = _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
             ct.scan(0, word, True)
-    except _LimitReached:
-        return False
-    _process_deductions(ct, by_first)
-    alpha = 0
-    try:
+        _process_deductions(ct, by_first)
+        alpha = 0
         while alpha < len(ct.table):
             if ct.p[alpha] != alpha:
                 alpha += 1
@@ -427,33 +414,9 @@ def _run_hlt(ct: CosetTable, lookahead: bool) -> bool:
                 alpha = mapping[alpha_rep]
             alpha += 1
     except _LimitReached:
-        if not lookahead:
-            return False
-        ct.lookahead_passes += 1
-        _lookahead_pass(ct, alpha)
-        return _run_felsch(ct)
+        return False
     ct.complete = True
     return True
-
-
-def _lookahead_pass(ct: CosetTable, start: int) -> None:
-    """The lookahead sweep: scan every relator at every live coset from the
-    HLT pointer on, tracking every entry the table sets from then on, so
-    that Felsch can finish the table.
-
-    Every live coset below the pointer has a complete row and every relator
-    closes at it; a closed trace stays closed through coincidences, so
-    scanning there can deduce or merge nothing.  The cosets from the
-    pointer on were never scanned under Felsch's rule, so the sweep is what
-    makes the hand-off sound."""
-    ct.track_deductions = True
-    for alpha in range(start, len(ct.table)):
-        if ct.p[alpha] != alpha:
-            continue
-        for word in ct.relator_cols:
-            ct.scan(alpha, word)
-            if ct.p[alpha] != alpha:
-                break
 
 
 def _run_felsch(ct: CosetTable) -> bool:
@@ -504,10 +467,7 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     start = time.monotonic()
     ct = CosetTable(p, subgroup_gens, max_cosets=max_cosets)
-    if strategy == "felsch":
-        ok = _run_felsch(ct)
-    else:
-        ok = _run_hlt(ct, lookahead=(strategy != "hlt"))
+    ok = _run_felsch(ct) if strategy == "felsch" else _run_hlt(ct)
     elapsed = (time.monotonic() - start) * 1000.0
     if ok:
         ct.compact()
@@ -518,8 +478,7 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
         index=ct.live_count if ok else None,
         cosets_defined_total=ct.defined_total, cosets_live_max=ct.live_max,
         coincidences=ct.coincidence_count, strategy=strategy,
-        elapsed_ms=elapsed, table=ct, lookahead_passes=ct.lookahead_passes,
-        compactions=ct.compactions)
+        elapsed_ms=elapsed, table=ct, compactions=ct.compactions)
 
 
 def verify_trivial(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,

@@ -137,7 +137,6 @@ def _run_presentation_scenario(s: Scenario, steps: _Steps, convention: str,
         else:
             status = "limit"
         steps.record("triviality", status, enumeration=result.to_json(),
-                     lookahead_passes=result.lookahead_passes,
                      compactions=result.compactions)
         # independent cross-check: a trivial group must have trivial H1
         steps.check("h1-cross-check", h1.is_trivial(), computed=h1.to_json())

@@ -5,6 +5,7 @@ import random
 import time
 
 from fpverify import (
+    STRATEGIES,
     Derivation,
     Word,
     derive_by_collapse,
@@ -35,14 +36,12 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 def _triviality(filename: str, label: str) -> None:
     t0 = time.monotonic()
     p = load_corpus_presentation(filename, convention=CONVENTION_DEFAULT)
-    result = enumerate_cosets(p, (), strategy="hlt-lookahead",
-                              max_cosets=1_000_000)
+    result = enumerate_cosets(p, (), max_cosets=1_000_000)
     elapsed = time.monotonic() - t0
     # the alternate commutator convention is inferred, not stated in the
     # source; run under it too and record the outcome either way
     p_gap = load_corpus_presentation(filename, convention=CONVENTION_GAP)
-    gap = enumerate_cosets(p_gap, (), strategy="hlt-lookahead",
-                           max_cosets=200_000)
+    gap = enumerate_cosets(p_gap, (), max_cosets=200_000)
     gap_note = (f"gap-convention: index {gap.index}" if gap.completed
                 else "gap-convention: inconclusive within limit")
     report(label,
@@ -152,14 +151,15 @@ def test_criterion_7_property_suites():
         out, _ = simplify(p)
         assert homology_h1(out) == homology_h1(p)
 
-    # finite battery enumerates to the known orders under both strategies
+    # finite battery enumerates to the known orders under every strategy
     for _, text, order in FINITE_BATTERY:
         from fpverify import parse_presentation
         p = parse_presentation(text)
-        for strategy in ("hlt-lookahead", "felsch"):
+        for strategy in STRATEGIES:
             result = enumerate_cosets(p, (), strategy=strategy)
             assert result.completed and result.index == order, (text, strategy)
 
     report("property-suites", True,
            "10000 words; 1000 matrices; H1-invariance corpus+100; "
-           f"battery x {len(FINITE_BATTERY)} groups x 2 strategies")
+           f"battery x {len(FINITE_BATTERY)} groups x "
+           f"{len(STRATEGIES)} strategies")

@@ -111,6 +111,15 @@ def test_bad_integer_options_exit_2(capsys, argv, message):
     assert code == 2 and message in err
 
 
+def test_removed_strategy_exits_2(capsys):
+    code, err = exit_code(capsys, "tc", str(corpus_path("pi1-N-full.grp")),
+                          "--strategy", "hlt-lookahead")
+    assert code == 2
+    choices = err.split("choose from")[1]
+    assert "hlt" in choices and "felsch" in choices
+    assert "lookahead" not in choices
+
+
 def test_bad_env_limit_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("FPVERIFY_MAX_COSETS", "0")
     code, err = exit_code(capsys, "tc", str(corpus_path("pi1-N-full.grp")))
@@ -212,13 +221,15 @@ def triviality_detail(capsys, *argv):
     return code, step["detail"]
 
 
-def test_triviality_step_reports_lookahead_and_compactions(capsys):
+def test_triviality_step_reports_compactions(capsys):
     code, detail = triviality_detail(capsys)
     assert code == 0
-    assert (detail["lookahead_passes"], detail["compactions"]) == (0, 2)
+    assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 2)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
-    assert detail["lookahead_passes"] >= 1
+    assert "lookahead_passes" not in detail
+    # a limit hit reports how far the run got
+    assert detail["enumeration"]["cosets_live_max"] == 100
 
 
 def test_verify_all_json(capsys):
@@ -263,6 +274,20 @@ def test_console_script_end_to_end():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"free_rank": 0, "torsion": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ("tc", str(corpus_path("pi1-N-full.grp"))),
+    ("verify", "--all"),
+])
+def test_closed_stdout_exits_without_a_traceback(argv):
+    proc = subprocess.Popen([sys.executable, "-m", "fpverify.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    proc.stdout.close()  # the reader leaves before the first write
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err
+    assert proc.returncode == 141
 
 
 def test_frozen_artifacts_validate_against_schemas():

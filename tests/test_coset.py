@@ -168,51 +168,24 @@ def test_monotone_limits():
         assert again.completed and again.index == small.index
 
 
-@pytest.mark.parametrize("text, limit, index, defined, coincidences", [
-    ("< a, b | a^2, b^3, (a b)^5 >", 61, 60, 69, 9),
-    ("< x, y | x^2, y^3, (x y)^4 >", 25, 24, 26, 2),
-])
-def test_lookahead_completes_where_hlt_stops(text, limit, index, defined,
-                                             coincidences):
+@pytest.mark.parametrize("text, limit, index, hlt_defined, hlt_coincidences", [
+    ("< a, b | a^2, b^3, (a b)^5 >", 61, 60, 63, 2),
+    ("< x, y | x^2, y^3, (x y)^4 >", 25, 24, 25, 0),
+    ("< a, b | a^2, b^3, (a b)^7, [a, b]^4 >", 168, 168, 226, 58),
+], ids=["(a b)^5", "(x y)^4", "[a, b]^4"])
+def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
+                                          hlt_coincidences):
     p = parse_presentation(text)
-    assert enumerate_cosets(p, (), strategy="hlt",
-                            max_cosets=limit).status == "LimitExceeded"
-    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=limit)
-    assert result.completed and result.index == index
-    assert result.cosets_defined_total == defined
-    assert result.coincidences == coincidences
-    assert result.cosets_live_max == limit
-    unlimited = enumerate_cosets(p, (), strategy="hlt-lookahead")
-    assert result.table.table == unlimited.table.table
-
-
-def test_lookahead_passes_from_the_deduction_stack():
-    p = parse_presentation("< a, b | a^2, b^3, (a b)^7, [a, b]^4 >")
-    hlt = enumerate_cosets(p, (), strategy="hlt", max_cosets=168)
+    hlt = enumerate_cosets(p, (), strategy="hlt", max_cosets=limit)
     assert hlt.status == "LimitExceeded"
-    assert (hlt.cosets_defined_total, hlt.coincidences) == (226, 58)
-    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=168)
-    assert result.completed and result.index == 168
-    assert (result.cosets_defined_total, result.coincidences) == (264, 96)
-    # one sweep at the limit frees 38 cosets, and Felsch finishes the
-    # table without hitting the limit again
-    assert result.lookahead_passes == 1
-    assert result.compactions == 1  # the final one, before validation
-    unlimited = enumerate_cosets(p, (), strategy="hlt-lookahead")
+    assert (hlt.cosets_defined_total, hlt.coincidences) == (hlt_defined,
+                                                          hlt_coincidences)
+    result = enumerate_cosets(p, (), strategy="felsch", max_cosets=limit)
+    assert result.completed and result.index == index
+    # Felsch defines no coset it later merges on these inputs
+    assert (result.cosets_defined_total, result.coincidences) == (index, 0)
+    unlimited = enumerate_cosets(p, (), strategy="hlt")
     assert result.table.table == unlimited.table.table
-
-
-def test_lookahead_hand_off_can_stop_where_felsch_completes():
-    # A known limitation of the hand-off: Felsch inherits HLT's cosets
-    # and stops at a limit that Felsch from scratch fits in.
-    p = parse_presentation("< a, b, c | c^2 b^3 c^-1 a^-1, b a^-1 b a b, "
-                           "a^-1 b a^-1 b^-1 c, b^-2 >")
-    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=9)
-    assert result.status == "LimitExceeded"
-    assert (result.cosets_defined_total, result.coincidences) == (11, 2)
-    assert result.lookahead_passes == 1
-    felsch = enumerate_cosets(p, (), strategy="felsch", max_cosets=9)
-    assert felsch.completed and felsch.index == 1
 
 
 @pytest.mark.parametrize("filename, defined", [
@@ -223,14 +196,12 @@ def test_hlt_processes_coincidence_moved_entries(filename, defined):
     # processing the entries each coincidence moves as deductions cuts
     # plain HLT's 17,203 and 32,774 definitions on these inputs
     p = load_corpus_presentation(filename)
-    for strategy in ("hlt", "hlt-lookahead"):
-        result = enumerate_cosets(p, (), strategy=strategy)
-        assert result.completed and result.index == 1
-        assert result.cosets_defined_total == defined, strategy
-        assert result.lookahead_passes == 0
+    result = enumerate_cosets(p, (), strategy="hlt")
+    assert result.completed and result.index == 1
+    assert result.cosets_defined_total == defined
 
 
-def test_lookahead_at_tight_limits_on_random_presentations():
+def test_strategies_at_tight_limits_on_random_presentations():
     rng = random.Random(5)
 
     def word(shortest, longest):
@@ -253,28 +224,32 @@ def test_lookahead_at_tight_limits_on_random_presentations():
         for limit in sorted({n, n + n // 8, n + n // 4, n + n // 2, 2 * n}):
             hlt = enumerate_cosets(p, subgroup, strategy="hlt",
                                    max_cosets=limit)
-            ahead = enumerate_cosets(p, subgroup, strategy="hlt-lookahead",
-                                     max_cosets=limit)
-            if hlt.completed:
-                assert ahead.completed, (p, subgroup, limit)
-                assert ahead.table.table == hlt.table.table
-            if ahead.completed:
-                assert ahead.table.table == free.table.table, (p, subgroup)
-                rescued += not hlt.completed
-    # completions where hlt stops at the same limit, of 226 cases
-    assert rescued == 62
+            felsch = enumerate_cosets(p, subgroup, strategy="felsch",
+                                      max_cosets=limit)
+            for result in (hlt, felsch):
+                if result.completed:
+                    assert result.table.table == free.table.table, (
+                        p, subgroup, limit, result.strategy)
+            rescued += felsch.completed and not hlt.completed
+    # felsch completions where hlt stops at the same limit, of 226 cases
+    assert rescued == 69
 
 
-def test_limit_after_lookahead_keeps_a_consistent_table():
+def test_limit_keeps_a_consistent_table():
     p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
-    result = enumerate_cosets(p, (), strategy="hlt-lookahead", max_cosets=47)
-    assert result.status == "LimitExceeded"
-    assert (result.cosets_defined_total, result.coincidences) == (52, 5)
-    ct = result.table
-    assert len(ct.table) > ct.live_count  # dead rows are kept, not compacted
-    assert ct.check_involution()
-    for alpha in ct.live_cosets():
-        assert all(beta is None or ct.p[beta] == beta for beta in ct.table[alpha])
+    counts = {"hlt": (48, 1), "felsch": (47, 0)}
+    for strategy in STRATEGIES:
+        result = enumerate_cosets(p, (), strategy=strategy, max_cosets=47)
+        assert result.status == "LimitExceeded"
+        assert (result.cosets_defined_total,
+                result.coincidences) == counts[strategy]
+        ct = result.table
+        # dead rows are kept, not compacted
+        assert len(ct.table) - ct.live_count == result.coincidences
+        assert ct.check_involution()
+        for alpha in ct.live_cosets():
+            assert all(beta is None or ct.p[beta] == beta
+                       for beta in ct.table[alpha])
 
 
 def test_engines_agree_on_random_presentations():
@@ -300,7 +275,7 @@ def test_engines_agree_on_random_presentations():
         if _run_felsch(table):
             indices["proof"] = table.live_count
         assert len(set(indices.values())) <= 1, (p, indices)
-        if len(indices) == 4:
+        if len(indices) == len(STRATEGIES) + 1:
             all_completed += 1
             indices_seen.add(indices["hlt"])
     assert all_completed >= 90 and len(indices_seen) >= 6
@@ -332,8 +307,9 @@ def test_validate_and_involution():
 
 def test_bad_inputs():
     p = parse_presentation("< a | a^3 >")
-    with pytest.raises(ValueError):
-        enumerate_cosets(p, (), strategy="nonsense")
+    for strategy in ("nonsense", "hlt-lookahead"):
+        with pytest.raises(ValueError):
+            enumerate_cosets(p, (), strategy=strategy)
     with pytest.raises(ValueError):
         enumerate_cosets(p, (), max_cosets=0)
     with pytest.raises(ValueError):
