@@ -19,7 +19,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .coset import CosetTable, _run_felsch
+from .coset import CosetTable, _run
 from .presentation import Presentation, _cyclic_class_key
 from .words import GEN_NAME_RE, Word, _product, _reduced
 
@@ -482,7 +482,7 @@ def derive_by_collapse(p: Presentation, target: Word,
         log = _ProofLog({_cyclic_class_key(r) for r in rels})
         ct = CosetTable(current, max_cosets=max_cosets, log=log)
         try:
-            completed = _run_felsch(ct)
+            completed = _run(ct, "felsch")
         except _NewTrivialWord as lemma:
             if len(steps) >= max_steps:
                 raise NotFound(f"no derivation within {max_steps} lemmas")
@@ -490,7 +490,9 @@ def derive_by_collapse(p: Presentation, target: Word,
             rels.append(lemma.word)
             continue
         if not completed:
-            raise NotFound(f"coset limit {max_cosets} exceeded")
+            raise NotFound(
+                f"coset limit {max_cosets} exceeded after {len(steps)} lemmas "
+                f"({ct.live_count} live, {ct.defined_total} defined cosets)")
         if ct.live_count != 1:
             raise NotFound(f"group not certified trivial ({ct.live_count} cosets)")
         steps.append(Certificate(target, _proof_to_factors(log.trace(target))))

@@ -21,14 +21,17 @@ a scan, and each merge and moved entry of a coincidence.  The per-letter
 loops never touch it.  Its proofs are keyed by coset number, so a table
 with a log is never compacted.
 
-Deductions.  A coincidence pushes every entry it moves onto the table's
-deduction stack; Felsch also pushes every definition and every deduction
-a scan closes.  After each relator scan and each definition, HLT pops
-the stack and scans, as Felsch does, the cyclic conjugates of the
-relators and their inverses that begin with each changed entry.  That is
-Felsch's deduction rule inside HLT's definition order: the consequences
-of a merge are found at once, not when the HLT pointer reaches the
-cosets it touched.
+Deductions.  Both strategies run one driver that walks the live rows in
+order and defines each missing entry of a row.  After each step it pops
+the table's deduction stack and scans the cyclic conjugates of the
+relators and their inverses that begin with each changed entry.  A
+coincidence pushes every entry it moves onto that stack.  HLT adds
+relator fill scans: at each row it first scans every relator with
+`fill`, before it defines the entries still missing; its stack holds
+only what coincidences move, so the consequences of a merge are found at
+once, not when the row pointer reaches the cosets it touched.  Felsch
+adds tracked deductions: every definition and every deduction a scan
+closes is pushed too.
 """
 
 from __future__ import annotations
@@ -82,9 +85,13 @@ class EnumerationResult:
 class CosetTable:
     """Partial action table of generators on cosets with coincidence merging.
 
-    `deductions` is a stack of changed entries (coset, column).  Every entry
-    a coincidence moves is pushed onto it; definitions and the deductions a
-    scan closes are pushed only while `track_deductions` is set."""
+    `deductions` is a stack of changed entries (coset, column), drained by
+    the enumeration driver after each relator scan and each definition.
+    Every entry a coincidence moves is pushed onto it; definitions and the
+    deductions a scan closes are pushed only while `track_deductions` is
+    set, which the driver does for Felsch.  HLT instead fills each row's
+    relator scans (`scan` with `fill`) before defining the row's missing
+    entries."""
 
     def __init__(self, presentation: Presentation, subgroup_gens=(),
                  max_cosets: int = DEFAULT_MAX_COSETS, log=None):
@@ -339,6 +346,7 @@ class CosetTable:
         return alpha
 
     def trace_word(self, alpha: int, w: Word) -> int | None:
+        self.presentation.check_word(w, "word")
         return self._trace(alpha, self._word_cols(w))
 
 
@@ -382,8 +390,13 @@ def _process_deductions(ct: CosetTable,
                     break
 
 
-def _run_hlt(ct: CosetTable) -> bool:
-    """Returns True on completion, False when the limit is exceeded."""
+def _run(ct: CosetTable, strategy: str) -> bool:
+    """Fill the table row by row; returns True on completion, False when
+    the limit is exceeded.  HLT first scans the relators at each row,
+    defining cosets as it goes; then both strategies define the row's
+    missing entries, draining the deduction stack after each step."""
+    hlt = strategy == "hlt"
+    ct.track_deductions = not hlt
     by_first = _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
@@ -394,20 +407,20 @@ def _run_hlt(ct: CosetTable) -> bool:
             if ct.p[alpha] != alpha:
                 alpha += 1
                 continue
-            for word in ct.relator_cols:
-                ct.scan(alpha, word, True)
-                if ct.deductions:
-                    _process_deductions(ct, by_first)
-                if ct.p[alpha] != alpha:
-                    break
-            else:
-                for x in range(ct.ncols):
+            if hlt:
+                for word in ct.relator_cols:
+                    ct.scan(alpha, word, True)
+                    if ct.deductions:
+                        _process_deductions(ct, by_first)
                     if ct.p[alpha] != alpha:
                         break
-                    if ct.table[alpha][x] is None:
-                        ct.define(alpha, x)
-                        if ct.deductions:
-                            _process_deductions(ct, by_first)
+            for x in range(ct.ncols):
+                if ct.p[alpha] != alpha:
+                    break
+                if ct.table[alpha][x] is None:
+                    ct.define(alpha, x)
+                    if ct.deductions:
+                        _process_deductions(ct, by_first)
             alpha_rep = ct.rep(alpha)
             mapping = ct.maybe_compact()
             if mapping is not None:
@@ -419,45 +432,6 @@ def _run_hlt(ct: CosetTable) -> bool:
     return True
 
 
-def _run_felsch(ct: CosetTable) -> bool:
-    ct.track_deductions = True
-    by_first = _relator_conjugates(ct)
-    try:
-        for word in ct.subgroup_cols:
-            ct.scan(0, word, True)
-    except _LimitReached:
-        return False
-
-    def find_undefined(start: int) -> tuple[int, int] | None:
-        for alpha in range(start, len(ct.table)):
-            if ct.p[alpha] != alpha:
-                continue
-            row = ct.table[alpha]
-            for x in range(ct.ncols):
-                if row[x] is None:
-                    return (alpha, x)
-        return None
-
-    cursor = 0
-    while True:
-        _process_deductions(ct, by_first)
-        if ct.maybe_compact() is not None:
-            cursor = 0
-        # coincidences can undefine entries behind the cursor, so fall back
-        # to a full sweep before declaring the table complete
-        target = find_undefined(cursor)
-        if target is None:
-            target = find_undefined(0)
-        if target is None:
-            ct.complete = True
-            return True
-        cursor = target[0]
-        try:
-            ct.define(*target)
-        except _LimitReached:
-            return False
-
-
 def enumerate_cosets(p: Presentation, subgroup_gens=(),
                      strategy: str = DEFAULT_STRATEGY,
                      max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
@@ -467,7 +441,7 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     start = time.monotonic()
     ct = CosetTable(p, subgroup_gens, max_cosets=max_cosets)
-    ok = _run_felsch(ct) if strategy == "felsch" else _run_hlt(ct)
+    ok = _run(ct, strategy)
     elapsed = (time.monotonic() - start) * 1000.0
     if ok:
         ct.compact()
@@ -492,6 +466,7 @@ def verify_trivial(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,
 def permutation_action(table: CosetTable, w: Word) -> tuple[int, ...]:
     """Image of each coset under w, as a tuple (0-based); table must be
     complete."""
+    table.presentation.check_word(w, "word")
     if not table.complete:
         raise ValueError("permutation_action requires a completed table")
     cols = table._word_cols(w)

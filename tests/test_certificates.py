@@ -31,7 +31,7 @@ from fpverify.certificates import (
     inverted_certificate,
 )
 from fpverify.corpus import load_scenario
-from fpverify.coset import CosetTable, _run_felsch
+from fpverify.coset import CosetTable, _run
 from fpverify.presentation import _cyclic_class_key
 
 from conftest import random_word, schema
@@ -206,6 +206,10 @@ def test_derive_by_collapse_rejects_nontrivial_group():
     s3 = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
     with pytest.raises(NotFound):
         derive_by_collapse(s3, Word.gen("r"), max_cosets=500)
+    # an infinite group hits the limit, and the message says how far it got
+    z = parse_presentation("< a | >")
+    with pytest.raises(NotFound, match=r"after 0 lemmas \(50 live, 50 defined"):
+        derive_by_collapse(z, Word.gen("a"), max_cosets=50)
 
 
 def test_derive_by_collapse_keeps_the_logged_lemma_proofs(monkeypatch):
@@ -221,8 +225,9 @@ def test_derive_by_collapse_keeps_the_logged_lemma_proofs(monkeypatch):
     assert verify_derivation(p, d)
 
 
-# redundancy-nine's relators whose frozen derivations are collapse chains
-DEEP_REDUNDANT = (5, 6, 7, 8, 9, 11, 15)
+# redundancy-nine's relators whose frozen derivations are collapse chains,
+# with the number of steps a fresh derivation takes
+DEEP_REDUNDANT = {5: 9, 6: 10, 7: 18, 8: 19, 9: 12, 11: 15, 15: 11}
 
 
 @pytest.mark.parametrize("i", DEEP_REDUNDANT)
@@ -234,6 +239,7 @@ def test_deep_redundant_relators_derive_fresh(i):
         [r for j, r in enumerate(full.relators) if j != i])
     d = derive_by_collapse(rest, full.relators[i])
     assert d.target == full.relators[i]
+    assert len(d.steps) == DEEP_REDUNDANT[i]
     assert verify_derivation(rest, d)
 
 
@@ -253,7 +259,7 @@ def test_target_outside_the_presentation_is_an_input_error(monkeypatch):
 def test_trace_must_return_to_the_base_coset():
     log = _ProofLog()
     ct = CosetTable(parse_presentation("< a | a^2 >"), log=log)
-    assert _run_felsch(ct) and ct.live_count == 2
+    assert _run(ct, "felsch") and ct.live_count == 2
     with pytest.raises(NotFound, match="does not return"):
         log.trace(Word.gen("a"))
 
@@ -335,7 +341,7 @@ def test_proving_table_entry_proofs_expand_to_their_entries(text):
     p = parse_presentation(text)
     log = _ProofLog()
     ct = CosetTable(p, max_cosets=1000, log=log)
-    assert _run_felsch(ct)
+    assert _run(ct, "felsch")
     assert ct.live_count == 1
     assert log.merged  # the collapse went through merges
     assert_entry_proofs(log, p.relators)
@@ -347,7 +353,7 @@ def test_proving_table_entry_proofs_expand_to_their_entries(text):
     log = _ProofLog({_cyclic_class_key(r) for r in p.relators})
     ct = CosetTable(p, max_cosets=1000, log=log)
     with pytest.raises(_NewTrivialWord) as lemma:
-        _run_felsch(ct)
+        _run(ct, "felsch")
     assert_entry_proofs(log, p.relators)
     assert expand(lemma.value.proof, p.relators) == lemma.value.word
 

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import shutil
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +228,42 @@ def test_scenarios_json_well_formed():
     for e in entries:
         assert set(e) <= {"id", "description", "files", "expected",
                           "source_claim", "source_location"}
+
+
+def test_build_corpus_reproduces_the_frozen_corpus(tmp_path, monkeypatch):
+    # tools/build_corpus.py, run into a temporary directory, rewrites every
+    # frozen file byte for byte except redundancy-nine's collapse chains
+    # (frozen from an earlier enumerator) and their manifest entry; the
+    # rebuilt chains must verify instead
+    script = Path(__file__).resolve().parents[1] / "tools" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", script)
+    build = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    spec.loader.exec_module(build)
+    monkeypatch.setattr(build, "CORPUS", tmp_path)
+    build.main()
+
+    chains = "redundancy-nine.derivations.json"
+    frozen = {p.name for p in corpus.CORPUS_DIR.iterdir()
+              if p.is_file() and p.suffix not in (".py", ".pyc")}
+    assert {p.name for p in tmp_path.iterdir()} == frozen
+    for name in sorted(frozen - {chains, corpus.MANIFEST}):
+        assert (tmp_path / name).read_bytes() == \
+            corpus.corpus_path(name).read_bytes(), name
+    rebuilt = json.loads((tmp_path / corpus.MANIFEST).read_text())
+    pinned = json.loads(corpus.corpus_path(corpus.MANIFEST).read_text())
+    assert rebuilt.keys() == pinned.keys()
+    del rebuilt[chains], pinned[chains]
+    assert rebuilt == pinned
+
+    s = corpus.load_scenario("redundancy-nine")
+    full = s.presentation()
+    derivations = json.loads((tmp_path / chains).read_text())
+    assert sorted(map(int, derivations)) == s.expected["certified_indices"]
+    for key, data in derivations.items():
+        i = int(key)
+        rest = full.with_relators(
+            [r for j, r in enumerate(full.relators) if j != i])
+        d = Derivation.from_json(data)
+        assert d.target == full.relators[i]
+        assert verify_derivation(rest, d)

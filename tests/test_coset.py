@@ -3,6 +3,8 @@ import random
 import pytest
 
 from fpverify import (
+    CONVENTION_DEFAULT,
+    CONVENTION_GAP,
     Presentation,
     Word,
     enumerate_cosets,
@@ -14,7 +16,7 @@ from fpverify import (
 )
 from fpverify.certificates import _ProofLog
 from fpverify.corpus import load_corpus_presentation
-from fpverify.coset import STRATEGIES, CosetTable, _run_felsch
+from fpverify.coset import STRATEGIES, CosetTable, _run
 
 
 # -- independent finite-group oracles ---------------------------------------
@@ -188,15 +190,21 @@ def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
     assert result.table.table == unlimited.table.table
 
 
-@pytest.mark.parametrize("filename, defined", [
-    ("pi1-N-full.grp", 3_332),
-    ("pi1-N-reduced.grp", 24_823),
+@pytest.mark.parametrize("strategy, convention, filename, defined", [
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 3_332),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 24_823),
+    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 8_339),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 17_068),
+    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154),
 ])
-def test_hlt_processes_coincidence_moved_entries(filename, defined):
+def test_strategies_process_coincidence_moved_entries(strategy, convention,
+                                                      filename, defined):
     # processing the entries each coincidence moves as deductions cuts
-    # plain HLT's 17,203 and 32,774 definitions on these inputs
-    p = load_corpus_presentation(filename)
-    result = enumerate_cosets(p, (), strategy="hlt")
+    # plain HLT's 17,203 and 32,774 definitions on the default inputs;
+    # the counts pin both strategies' work in their shared driver
+    p = load_corpus_presentation(filename, convention=convention)
+    result = enumerate_cosets(p, (), strategy=strategy)
     assert result.completed and result.index == 1
     assert result.cosets_defined_total == defined
 
@@ -272,7 +280,7 @@ def test_engines_agree_on_random_presentations():
             if result.completed:
                 indices[strategy] = result.index
         table = CosetTable(p, max_cosets=limit, log=_ProofLog())
-        if _run_felsch(table):
+        if _run(table, "felsch"):
             indices["proof"] = table.live_count
         assert len(set(indices.values())) <= 1, (p, indices)
         if len(indices) == len(STRATEGIES) + 1:
@@ -314,3 +322,8 @@ def test_bad_inputs():
         enumerate_cosets(p, (), max_cosets=0)
     with pytest.raises(ValueError):
         enumerate_cosets(p, (Word.gen("zz"),))
+    table = enumerate_cosets(p, ()).table
+    with pytest.raises(ValueError, match="unknown generators"):
+        permutation_action(table, Word.gen("b"))
+    with pytest.raises(ValueError, match="unknown generators"):
+        table.trace_word(0, Word.gen("b"))

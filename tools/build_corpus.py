@@ -11,6 +11,8 @@ entry: those collapse chains were frozen from an earlier proof-logging
 enumerator, and a rerun writes different, shorter chains (9-19 steps for
 the seven deep relators instead of 12-30).  The frozen chains are pinned
 by the manifest and still verify; the corpus keeps them.
+`tests/test_corpus.py` reruns `main()` into a temporary directory and
+checks both promises.
 """
 
 from __future__ import annotations
