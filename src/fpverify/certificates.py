@@ -353,14 +353,14 @@ class _ProofLog:
         f = alpha
         for x in word[:i]:
             forward.append(proofs[f][x])
-            f = table[f][x]
+            f = table[x][f]
         w = self.words[alpha]
         parts = [c.inverse() for c in reversed(forward)]
         parts += (w, self.factors[tuple(word)], w.inverse())
         b = alpha
         for x in reversed(word[j + 1:]):
             parts.append(proofs[b][x ^ 1])
-            b = table[b][x ^ 1]
+            b = table[x ^ 1][b]
         return _product(parts)
 
     def find(self, a: int) -> tuple[int, Word]:
@@ -409,7 +409,7 @@ class _ProofLog:
         for letter in w.letters:
             x = self.ct.col[letter]
             parts.append(self.proofs[a][x])
-            a = self.ct.table[a][x]
+            a = self.ct.table[x][a]
         if a != 0:
             raise NotFound(f"{w} does not return to the base coset")
         return _product(parts)

@@ -6,11 +6,17 @@ Completion yields the subgroup index and a complete coset table; hitting
 the coset limit is reported as a result, not an exception.  At tight
 coset limits Felsch often completes where HLT stops.
 
-The table layout follows the standard scheme: one column per generator and
-per inverse generator, rows are cosets (0-based internally, coset 0 is the
-subgroup; reported statistics use the 1-based convention only in printing).
-Coincidences are handled by a union-find array processed to exhaustion
-before any new coset is defined.
+The table has one column per generator and per inverse generator, and
+one slot per coset in each column (0-based internally, coset 0 is the
+subgroup; reported statistics use the 1-based convention only in
+printing).  It is stored column-major, as in Holt-Eick-O'Brien ch. 5 and
+ACE: `table[x][alpha]` is the entry of coset alpha in column x.  A
+coset's row is its slot across the columns, not a list of its own, so a
+definition writes two slots, appends to `p` and allocates no container
+for the cyclic garbage collector to track.  The columns grow together in
+blocks, and the coset count is the length of the union-find array `p`,
+not of a column.  Coincidences are handled by that union-find array,
+processed to exhaustion before any new coset is defined.
 
 `CosetTable.scan` is the one two-sided trace of a word at a coset; with
 `fill` (HLT) it defines cosets until the trace closes.
@@ -49,6 +55,10 @@ DEFAULT_MAX_COSETS = 1_000_000
 # dead-coset fraction that triggers table compaction
 COMPACTION_THRESHOLD = 0.5
 
+# fewest slots the columns grow by at once; they grow by about a quarter
+# of their length when that is more
+_COLUMN_BLOCK = 1024
+
 
 class _LimitReached(Exception):
     pass
@@ -85,6 +95,15 @@ class EnumerationResult:
 class CosetTable:
     """Partial action table of generators on cosets with coincidence merging.
 
+    `table` is column-major: a list of `ncols` columns, and entry
+    (alpha, x) is `table[x][alpha]`.  The columns have the same length,
+    at least the coset count `len(p)`, and every slot past the coset count
+    is None.  When a definition finds them full, each grows by
+    `_COLUMN_BLOCK` slots or a quarter of its length, whichever is more.
+    Compaction and standardization build new columns, so a caller that
+    binds a column must bind it again after either; growth extends the
+    columns in place.
+
     `deductions` is a stack of changed entries (coset, column), drained by
     the enumeration driver after each relator scan and each definition.
     Every entry a coincidence moves is pushed onto it; definitions and the
@@ -113,7 +132,8 @@ class CosetTable:
             presentation.check_word(w, "subgroup word")
         self.subgroup_cols = [self._word_cols(w) for w in subgroup_gens]
 
-        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.table: list[list[int | None]] = [
+            [None] * _COLUMN_BLOCK for _ in range(self.ncols)]
         self.p: list[int] = [0]       # union-find, p[i] <= i, coset 0 is root
         self.live_count = 1
         self.defined_total = 1
@@ -142,19 +162,29 @@ class CosetTable:
         return r
 
     def live_cosets(self) -> list[int]:
-        return [i for i in range(len(self.table)) if self.p[i] == i]
+        # the numbers are p's own int objects, so the list allocates none
+        return [r for i, r in enumerate(self.p) if i == r]
+
+    def _grow(self) -> None:
+        size = len(self.table[0])
+        slack = [None] * max(_COLUMN_BLOCK, size // 4)
+        for column in self.table:
+            column.extend(slack)
 
     def define(self, alpha: int, x: int) -> int:
         if self.live_count >= self.max_cosets:
             raise _LimitReached
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        table = self.table
+        beta = len(self.p)
+        if beta == len(table[x]):
+            self._grow()
         self.p.append(beta)
-        self.table[alpha][x] = beta
-        self.table[beta][x ^ 1] = alpha
+        table[x][alpha] = beta
+        table[x ^ 1][beta] = alpha
         self.live_count += 1
         self.defined_total += 1
-        self.live_max = max(self.live_max, self.live_count)
+        if self.live_count > self.live_max:
+            self.live_max = self.live_count
         if self.track_deductions:
             self.deductions.append((alpha, x))
         if self.log is not None:
@@ -181,32 +211,34 @@ class CosetTable:
         self._merge(alpha, beta, queue, proof)
         qi = 0
         table = self.table
+        columns = [(x, table[x], table[x ^ 1]) for x in range(self.ncols)]
+        rep = self.rep
+        deductions = self.deductions
         log = self.log
         while qi < len(queue):
             gamma = queue[qi]
             qi += 1
-            row = table[gamma]
-            for x in range(self.ncols):
-                delta = row[x]
+            for x, col, inv in columns:
+                delta = col[gamma]
                 if delta is None:
                     continue
-                table[delta][x ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
+                inv[delta] = None
+                mu = rep(gamma)
+                nu = rep(delta)
                 if log is not None:
                     moved = log.moved(gamma, x, delta)
-                if table[mu][x] is not None:
-                    self._merge(nu, table[mu][x], queue,
+                if col[mu] is not None:
+                    self._merge(nu, col[mu], queue,
                                 None if log is None else log.forced(moved, mu, x))
-                elif table[nu][x ^ 1] is not None:
-                    self._merge(mu, table[nu][x ^ 1], queue, None if log is None
+                elif inv[nu] is not None:
+                    self._merge(mu, inv[nu], queue, None if log is None
                                 else log.forced(moved.inverse(), nu, x ^ 1))
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
                     if log is not None:
                         log.entry(mu, x, nu, moved)
-                    self.deductions.append((mu, x))
+                    deductions.append((mu, x))
 
     def scan(self, alpha: int, word: list[int], fill: bool = False) -> None:
         """Two-sided scan of word at alpha.
@@ -221,12 +253,12 @@ class CosetTable:
         b, j = alpha, len(word) - 1
         while True:
             while i <= j:
-                nxt = table[f][word[i]]
+                nxt = table[word[i]][f]
                 if nxt is None:
                     break
                 f, i = nxt, i + 1
             while j >= i:
-                prv = table[b][word[j] ^ 1]
+                prv = table[word[j] ^ 1][b]
                 if prv is None:
                     break
                 b, j = prv, j - 1
@@ -239,81 +271,82 @@ class CosetTable:
                 x = word[i]
                 if self.log is not None:
                     self.log.entry(f, x, b, self.log.scan(alpha, word, i, j))
-                table[f][x] = b
-                table[b][x ^ 1] = f
+                table[x][f] = b
+                table[x ^ 1][b] = f
                 if self.track_deductions:
                     self.deductions.append((f, x))
                 return
             if not fill:
                 return
-            self.define(f, word[i])
+            f, i = self.define(f, word[i]), i + 1
 
     # -- maintenance --------------------------------------------------------
 
     def compact(self) -> list[int | None]:
         """Drop dead cosets, renumber live ones; returns old->new mapping."""
         self.compactions += 1
-        mapping: list[int | None] = [None] * len(self.table)
-        new = 0
-        for i in range(len(self.table)):
-            if self.p[i] == i:
-                mapping[i] = new
-                new += 1
+        n = len(self.p)
+        live = self.live_cosets()
+        mapping: list[int | None] = [None] * n
+        for new, old in enumerate(live):
+            mapping[old] = new
+        rep = self.rep
+        remap = [mapping[rep(i)] for i in range(n)]
         new_table = []
-        for i in range(len(self.table)):
-            if mapping[i] is None:
-                continue
-            row = self.table[i]
-            new_table.append([
-                None if e is None else mapping[self.rep(e)] for e in row
-            ])
-        self.deductions = [
-            (mapping[self.rep(a)], x) for a, x in self.deductions
-        ]
+        for col in self.table:
+            entries = [col[i] for i in live]
+            new_table.append([None if e is None else remap[e] for e in entries])
+        self.deductions = [(remap[a], x) for a, x in self.deductions]
         self.table = new_table
-        self.p = list(range(new))
+        self.p = list(range(len(live)))
         return mapping
 
     def maybe_compact(self) -> list[int | None] | None:
         if self.log is not None:
             return None  # proofs are keyed by coset number
-        dead = len(self.table) - self.live_count
-        if len(self.table) > 64 and dead / len(self.table) > COMPACTION_THRESHOLD:
+        n = len(self.p)
+        if n > 64 and (n - self.live_count) / n > COMPACTION_THRESHOLD:
             return self.compact()
         return None
 
     def standardize(self) -> None:
         """Renumber cosets breadth-first from coset 0 by generator order."""
         assert self.complete
+        table = self.table
         order: list[int] = [0]
         seen = {0}
         qi = 0
         while qi < len(order):
             alpha = order[qi]
             qi += 1
-            for x in range(self.ncols):
-                beta = self.table[alpha][x]
+            for col in table:
+                beta = col[alpha]
                 if beta not in seen:
                     seen.add(beta)
                     order.append(beta)
-        mapping = [0] * len(self.table)
+        mapping = [0] * len(self.p)
         for new, old in enumerate(order):
             mapping[old] = new
-        self.table = [
-            [mapping[e] for e in self.table[old]] for old in order
-        ]
+        self.table = [[mapping[col[old]] for old in order] for col in table]
         self.p = list(range(len(order)))
 
     def validate(self) -> None:
         """Check involution consistency, closed relator traces, and subgroup
-        generator stabilization on a complete table."""
+        generator stabilization on a complete table.  Every entry of a live
+        coset must point at a live coset."""
+        p = self.p
+        n = len(p)
         live = self.live_cosets()
-        for alpha in live:
-            for x in range(self.ncols):
-                beta = self.table[alpha][x]
+        for x in range(self.ncols):
+            col, inv = self.table[x], self.table[x ^ 1]
+            for alpha in live:
+                beta = col[alpha]
                 if beta is None:
                     raise AssertionError(f"incomplete entry ({alpha}, {x})")
-                if self.table[self.rep(beta)][x ^ 1] != alpha:
+                if not (0 <= beta < n and p[beta] == beta):
+                    raise AssertionError(
+                        f"entry ({alpha}, {x}) = {beta} is not a live coset")
+                if inv[beta] != alpha:
                     raise AssertionError(f"involution broken at ({alpha}, {x})")
         for word in self.relator_cols:
             for alpha in live:
@@ -326,27 +359,31 @@ class CosetTable:
     def check_involution(self) -> bool:
         """Partial-table consistency: entry(c,g)=d implies entry(d,g^-1)=c,
         modulo coincidence representatives."""
-        for alpha in range(len(self.table)):
-            if self.p[alpha] != alpha:
-                continue
-            for x in range(self.ncols):
-                beta = self.table[alpha][x]
+        rep = self.rep
+        live = self.live_cosets()
+        for x in range(self.ncols):
+            col, inv = self.table[x], self.table[x ^ 1]
+            for alpha in live:
+                beta = col[alpha]
                 if beta is None:
                     continue
-                back = self.table[self.rep(beta)][x ^ 1]
-                if back is not None and self.rep(back) != alpha:
+                back = inv[rep(beta)]
+                if back is not None and rep(back) != alpha:
                     return False
         return True
 
     def _trace(self, alpha: int, word: list[int]) -> int | None:
+        table = self.table
         for x in word:
-            alpha = self.table[alpha][x]
+            alpha = table[x][alpha]
             if alpha is None:
                 return None
         return alpha
 
     def trace_word(self, alpha: int, w: Word) -> int | None:
         self.presentation.check_word(w, "word")
+        if not (0 <= alpha < len(self.p) and self.p[alpha] == alpha):
+            raise ValueError(f"{alpha} is not a live coset")
         return self._trace(alpha, self._word_cols(w))
 
 
@@ -372,21 +409,23 @@ def _process_deductions(ct: CosetTable,
                         by_first: list[list[list[int]]]) -> None:
     """Pop the deduction stack to exhaustion, scanning the relator
     conjugates through each changed entry from both of its ends."""
-    while ct.deductions:
-        alpha, x = ct.deductions.pop()
-        alpha = ct.rep(alpha)
+    deductions, p, table = ct.deductions, ct.p, ct.table
+    scan, rep = ct.scan, ct.rep
+    while deductions:
+        alpha, x = deductions.pop()
+        alpha = rep(alpha)
         for word in by_first[x]:
-            ct.scan(alpha, word)
-            if ct.p[alpha] != alpha:
+            scan(alpha, word)
+            if p[alpha] != alpha:
                 break
-        if ct.p[alpha] != alpha:
+        if p[alpha] != alpha:
             continue
-        beta = ct.table[alpha][x]
+        beta = table[x][alpha]
         if beta is not None:
-            beta = ct.rep(beta)
+            beta = rep(beta)
             for word in by_first[x ^ 1]:
-                ct.scan(beta, word)
-                if ct.p[beta] != beta:
+                scan(beta, word)
+                if p[beta] != beta:
                     break
 
 
@@ -402,9 +441,10 @@ def _run(ct: CosetTable, strategy: str) -> bool:
         for word in ct.subgroup_cols:
             ct.scan(0, word, True)
         _process_deductions(ct, by_first)
+        p, table = ct.p, ct.table
         alpha = 0
-        while alpha < len(ct.table):
-            if ct.p[alpha] != alpha:
+        while alpha < len(p):
+            if p[alpha] != alpha:
                 alpha += 1
                 continue
             if hlt:
@@ -412,12 +452,12 @@ def _run(ct: CosetTable, strategy: str) -> bool:
                     ct.scan(alpha, word, True)
                     if ct.deductions:
                         _process_deductions(ct, by_first)
-                    if ct.p[alpha] != alpha:
+                    if p[alpha] != alpha:
                         break
-            for x in range(ct.ncols):
-                if ct.p[alpha] != alpha:
+            for x, col in enumerate(table):
+                if p[alpha] != alpha:
                     break
-                if ct.table[alpha][x] is None:
+                if col[alpha] is None:
                     ct.define(alpha, x)
                     if ct.deductions:
                         _process_deductions(ct, by_first)
@@ -425,6 +465,7 @@ def _run(ct: CosetTable, strategy: str) -> bool:
             mapping = ct.maybe_compact()
             if mapping is not None:
                 alpha = mapping[alpha_rep]
+                p, table = ct.p, ct.table
             alpha += 1
     except _LimitReached:
         return False

@@ -325,8 +325,8 @@ def assert_entry_proofs(log, relators):
     """Every set entry of the logged table, in live and dead rows, and
     every merge bridge expands to what it claims."""
     W = log.words
-    for a, row in enumerate(log.ct.table):
-        for x, b in enumerate(row):
+    for a in range(len(log.ct.p)):
+        for x, b in enumerate([c[a] for c in log.ct.table]):
             if b is not None:
                 assert expand(log.proofs[a][x], relators) == \
                     Word(W[a].letters + log.letters[x].letters

@@ -16,7 +16,7 @@ from fpverify import (
 )
 from fpverify.certificates import _ProofLog
 from fpverify.corpus import load_corpus_presentation
-from fpverify.coset import STRATEGIES, CosetTable, _run
+from fpverify.coset import _COLUMN_BLOCK, STRATEGIES, CosetTable, _run
 
 
 # -- independent finite-group oracles ---------------------------------------
@@ -161,13 +161,29 @@ def test_limit_exceeded_statistics():
     assert homology_h1(p).free_rank == 1
 
 
+# limits just below, at and past the columns' first growth
+BOUNDARY_LIMITS = (_COLUMN_BLOCK - 1, _COLUMN_BLOCK, _COLUMN_BLOCK + 1)
+
+
 def test_monotone_limits():
     p = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
     small = enumerate_cosets(p, (), max_cosets=20)
     assert small.completed
-    for m in (50, 1000):
+    for m in (50, 1000) + BOUNDARY_LIMITS:
         again = enumerate_cosets(p, (), max_cosets=m)
         assert again.completed and again.index == small.index
+        assert all(len(c) == again.index for c in again.table.table)
+    # cyclic groups whose tables end on either side of the first growth
+    for order in BOUNDARY_LIMITS:
+        cyclic = Presentation("a", [Word.gen("a", order)])
+        results = [enumerate_cosets(cyclic, (), max_cosets=m)
+                   for m in BOUNDARY_LIMITS]
+        completed = [r.completed for r in results]
+        assert completed == sorted(completed) and completed[-1]
+        for result in results:
+            if result.completed:
+                assert result.index == order
+                assert all(len(c) == order for c in result.table.table)
 
 
 @pytest.mark.parametrize("text, limit, index, hlt_defined, hlt_coincidences", [
@@ -246,18 +262,30 @@ def test_strategies_at_tight_limits_on_random_presentations():
 def test_limit_keeps_a_consistent_table():
     p = parse_presentation("< a, b | a^2, b^3, (a b)^5 >")
     counts = {"hlt": (48, 1), "felsch": (47, 0)}
+    # the modular group is infinite: every run stops at its limit
+    modular = parse_presentation("< a, b | a^2, b^3 >")
+    cases = [(p, 47)] + [(modular, limit) for limit in BOUNDARY_LIMITS]
     for strategy in STRATEGIES:
-        result = enumerate_cosets(p, (), strategy=strategy, max_cosets=47)
-        assert result.status == "LimitExceeded"
-        assert (result.cosets_defined_total,
-                result.coincidences) == counts[strategy]
-        ct = result.table
-        # dead rows are kept, not compacted
-        assert len(ct.table) - ct.live_count == result.coincidences
-        assert ct.check_involution()
-        for alpha in ct.live_cosets():
-            assert all(beta is None or ct.p[beta] == beta
-                       for beta in ct.table[alpha])
+        for presentation, limit in cases:
+            result = enumerate_cosets(presentation, (), strategy=strategy,
+                                      max_cosets=limit)
+            assert result.status == "LimitExceeded"
+            if presentation is p:
+                assert (result.cosets_defined_total,
+                        result.coincidences) == counts[strategy]
+            ct = result.table
+            # dead rows are kept, not compacted
+            n = len(ct.p)
+            assert n - ct.live_count == result.coincidences
+            assert ct.check_involution()
+            for alpha in ct.live_cosets():
+                assert all(beta is None or ct.p[beta] == beta
+                           for beta in [c[alpha] for c in ct.table])
+            # the columns share one length, and the slack past the cosets
+            # is empty
+            assert len({len(c) for c in ct.table}) == 1
+            assert all(len(c) >= n and set(c[n:]) <= {None}
+                       for c in ct.table)
 
 
 def test_engines_agree_on_random_presentations():
@@ -313,6 +341,25 @@ def test_validate_and_involution():
     assert result.table.check_involution()
 
 
+def test_validate_rejects_an_entry_into_a_dead_coset():
+    p = parse_presentation("< a, b | a^2, b^3, (a b)^2 >")
+    ct = enumerate_cosets(p, ()).table
+    # a dead copy of coset 1, merged into it, and one live entry into it
+    copy = len(ct.p)
+    for c in ct.table:
+        c.append(c[1])
+    ct.p.append(1)
+    x = next(x for x, c in enumerate(ct.table) if c[0] == 1)
+    ct.table[x][0] = copy
+    assert ct.check_involution()
+    with pytest.raises(AssertionError, match=f"= {copy} is not a live coset"):
+        ct.validate()
+    # and one past the last coset
+    ct.table[x][0] = copy + 1
+    with pytest.raises(AssertionError, match=f"= {copy + 1} is not a live coset"):
+        ct.validate()
+
+
 def test_bad_inputs():
     p = parse_presentation("< a | a^3 >")
     for strategy in ("nonsense", "hlt-lookahead"):
@@ -327,3 +374,8 @@ def test_bad_inputs():
         permutation_action(table, Word.gen("b"))
     with pytest.raises(ValueError, match="unknown generators"):
         table.trace_word(0, Word.gen("b"))
+    s3 = enumerate_cosets(parse_presentation("< a, b | a^2, b^3, (a b)^2 >"),
+                          ()).table
+    for alpha in (-1, 7):
+        with pytest.raises(ValueError, match="not a live coset"):
+            s3.trace_word(alpha, Word.gen("a"))
