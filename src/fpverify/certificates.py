@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coset import CosetTable, _run
 from .presentation import Presentation, _cyclic_class_key
@@ -255,27 +255,38 @@ def _rebuild(target: Word, parents: dict) -> Certificate:
 # changes.  A definition carries the empty proof.  A deduction or a
 # coincidence found by a scan of a relator conjugate at alpha is proved by
 # the entry proofs along the scan around W(alpha) * (conjugate) *
-# W(alpha)^-1, which the log builds by re-walking the scan.  A merge is
-# recorded in the log's own union-find with a bridge proof, and each entry
-# a coincidence moves, or each merge it forces, is proved from the entry it
-# came from and the bridges of its two ends.  When the enumeration
-# collapses to a single coset, tracing any word through the table
-# concatenates entry proofs into a certificate for that word.  When a merge
-# first surfaces a trivial word outside the known relators, the merge's
-# bridge proof is that word's certificate, and `derive_by_collapse` keeps it
-# as it stands: the log is the only source of lemma certificates.
+# W(alpha)^-1.  A merge is recorded in the log's own union-find with a
+# bridge proof, and each entry a coincidence moves, or each merge it
+# forces, is proved from the entry it came from and the bridges of its two
+# ends.  When the enumeration collapses to a single coset, tracing any word
+# through the table concatenates entry proofs into a certificate for that
+# word.  When a merge first surfaces a trivial word outside the known
+# relators, the merge's bridge proof is that word's certificate, and
+# `derive_by_collapse` keeps it as it stands: the log is the only source of
+# lemma certificates.
 
 
-# Proofs are kept as single freely reduced words over an extended alphabet:
-# the presentation's generators plus one reserved symbol "@k" per relator
+# Proofs are nodes (`_Proof`), not words.  A node is a leaf word, the
+# inverse of another node, or a concatenation of earlier nodes and
+# definition words; recording a table event costs one node however long
+# the proof it stands for, so the log's memory is linear in table events.
+# Words exist only at extraction: a lemma's bridge, `trace`, and the
+# novelty check's W(a) * W(b)^-1, which reads definition words only.  A
+# node read there is expanded once, iteratively, and memoised.  A
+# definition word is never stored: it is rebuilt from the definition tree
+# (parent coset and column of each coset) when it is read.
+#
+# Expanded proofs are freely reduced words over an extended alphabet: the
+# presentation's generators plus one reserved symbol "@k" per relator
 # (standing for relator k inserted at that point).  Free reduction over the
 # extended alphabet is sound (cancelling "@k" against its inverse deletes a
 # relator-times-inverse pair) and it is what keeps proofs small: conjugator
 # segments of adjacent factors cancel against each other, which a list of
-# opaque (conjugator, relator, sign) factors can never do.  Deleting the
-# "@" symbols from any proof built here leaves a word that freely reduces
-# to the identity, so the factor form extracted at the end multiplies out
-# to exactly the word the proof claims.
+# opaque (conjugator, relator, sign) factors can never do.  Free reduction
+# is confluent, so a node expands to the same word as the eagerly reduced
+# product it replaces.  Deleting the "@" symbols from any expanded proof
+# leaves a word that freely reduces to the identity, so the factor form
+# extracted at the end multiplies out to exactly the word the proof claims.
 
 
 def _proof_to_factors(proof: Word) -> tuple[Factor, ...]:
@@ -291,6 +302,38 @@ def _proof_to_factors(proof: Word) -> tuple[Factor, ...]:
     return tuple(factors)
 
 
+class _Proof:
+    """A proof node.  `parts` is a tuple of nodes and coset numbers (c
+    stands for W(c), ~c for W(c)^-1), or None for the inverse of `base`;
+    `word` is the freely reduced expansion, set for a leaf and filled in
+    by `_ProofLog.expand`."""
+
+    __slots__ = ("parts", "base", "word")
+
+    def __init__(self, parts, base=None, word=None):
+        self.parts = parts
+        self.base = base
+        self.word = word
+
+    def inverse(self) -> "_Proof":
+        if self.parts is None:
+            return self.base
+        if self is _EMPTY:
+            return self
+        return _Proof(None, self)
+
+
+_EMPTY = _Proof((), word=Word.identity())
+
+
+def _concat(parts) -> _Proof:
+    """The node for the product of parts, with empty proofs left out."""
+    parts = [q for q in parts if q is not _EMPTY]
+    if len(parts) == 1 and type(parts[0]) is _Proof:
+        return parts[0]
+    return _Proof(tuple(parts)) if parts else _EMPTY
+
+
 class _NewTrivialWord(Exception):
     """A coincidence produced a trivial word outside the known relator set."""
 
@@ -303,48 +346,116 @@ class _ProofLog:
     """Entry, merge and scan proofs for a `CosetTable` enumerating the
     cosets of the trivial subgroup; the table calls it where it changes.
 
-    With novelty_keys (cyclic class keys of the known relators), a merge
-    whose trivial word W(a)*W(b)^-1 is outside those classes raises
-    `_NewTrivialWord` before the table records it (collapse-ladder mining;
-    it also keeps the terminal coincidence cascade, whose proofs grow
-    quadratically, from ever running)."""
+    One log serves a sequence of tables over the same generators whose
+    relators only grow, as `derive_by_collapse` makes them: the factor
+    table of the relators' cyclic conjugates (and, with novelty, their
+    cyclic class keys) is built once and extended by each new relator.
 
-    def __init__(self, novelty_keys: set | None = None):
-        self.novelty_keys = novelty_keys
+    With novelty, a merge whose trivial word W(a)*W(b)^-1 is outside the
+    cyclic classes of the table's relators raises `_NewTrivialWord` before
+    the table records it (collapse-ladder mining; it also keeps the
+    terminal coincidence cascade from ever running).  `longest` is the
+    length of the longest proof expanded so far."""
+
+    def __init__(self, novelty: bool = False):
+        self.novelty_keys: set | None = set() if novelty else None
+        self.col: dict = {}
+        self.relators: tuple[Word, ...] = ()
+        # u^-1 @k^s u for each cyclic conjugate (u^-1 r_k^s u) as columns
+        self.factors: dict[tuple[int, ...], _Proof] = {}
+        self.longest = 0
 
     def attach(self, ct) -> None:
-        self.ct = ct
-        self.letters = [None] * ct.ncols  # column -> one-letter word
+        rels = ct.presentation.relators
+        n = len(self.relators)
+        if n and (ct.col != self.col or rels[:n] != self.relators):
+            raise ValueError("a proof log's next table must extend the "
+                             "relators of its last one")
+        self.ct, self.col = ct, ct.col
+        for k in range(n, len(rels)):
+            self._add_relator(k, rels[k])
+        self.relators = rels
+        self.letters = [None] * ct.ncols  # column -> letter
         for letter, x in ct.col.items():
-            self.letters[x] = _reduced((letter,))
-        self.words: list[Word] = [Word.identity()]  # definition word per coset
-        self.proofs: list[list[Word | None]] = [[None] * ct.ncols]
-        self.merged: dict[int, tuple[int, Word]] = {}  # dead -> (parent, proof)
-        # u^-1 @k^s u for each cyclic conjugate (u^-1 r_k^s u) as columns
-        self.factors: dict[tuple[int, ...], Word] = {}
-        for k, r in enumerate(ct.presentation.relators):
-            for sign in (1, -1):
-                base = (r if sign == 1 else r.inverse()).letters
-                cols = [ct.col[let] for let in base]
-                for m in range(len(base)):
+            self.letters[x] = letter
+        # entry proofs, column-major like the table and as long as it
+        self.proofs: list[list[_Proof | None]] = [
+            [None] * len(ct.table[0]) for _ in range(ct.ncols)]
+        self.parent = [0]  # definition tree: coset -> (parent, column)
+        self.column = [0]
+        self.merged: dict[int, tuple[int, _Proof]] = {}  # dead -> (parent, proof)
+
+    def _add_relator(self, k: int, r: Word) -> None:
+        if self.novelty_keys is not None:
+            self.novelty_keys.add(_cyclic_class_key(r))
+        for sign in (1, -1):
+            base = (r if sign == 1 else r.inverse()).letters
+            cols = [self.col[let] for let in base]
+            for m in range(len(base)):
+                key = tuple(cols[m:] + cols[:m])
+                if key not in self.factors:
                     u = _reduced(base[:m])
-                    self.factors.setdefault(
-                        tuple(cols[m:] + cols[:m]),
-                        _reduced(u.inverse().letters + ((f"@{k}", sign),)
-                                 + u.letters))
+                    self.factors[key] = _Proof((), word=_reduced(
+                        u.inverse().letters + ((f"@{k}", sign),) + u.letters))
+
+    def coset_word(self, c: int) -> Word:
+        """W(c), rebuilt by walking the definition tree back to coset 0."""
+        letters = []
+        while c:
+            letters.append(self.letters[self.column[c]])
+            c = self.parent[c]
+        letters.reverse()
+        return Word(letters)
+
+    def expand(self, proof: _Proof) -> Word:
+        """The freely reduced word a proof node stands for, memoised on
+        every node expanded on the way."""
+        if proof.word is not None:
+            return proof.word
+        stack = [proof]
+        while stack:
+            node = stack[-1]
+            if node.word is not None:
+                stack.pop()
+                continue
+            if node.parts is None:
+                if node.base.word is None:
+                    stack.append(node.base)
+                    continue
+                node.word = node.base.word.inverse()
+            else:
+                pending = [q for q in node.parts
+                           if type(q) is _Proof and q.word is None]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                node.word = _product(
+                    q.word if type(q) is _Proof
+                    else self.coset_word(q) if q >= 0
+                    else self.coset_word(~q).inverse()
+                    for q in node.parts)
+            stack.pop()
+            if len(node.word) > self.longest:
+                self.longest = len(node.word)
+        return proof.word
 
     def define(self, alpha: int, x: int, beta: int) -> None:
-        self.words.append(self.words[alpha] * self.letters[x])
-        self.proofs.append([None] * self.ct.ncols)
-        self.proofs[alpha][x] = self.proofs[beta][x ^ 1] = Word.identity()
+        proofs = self.proofs
+        if beta == len(proofs[0]):
+            slack = [None] * (len(self.ct.table[0]) - beta)
+            for column in proofs:
+                column.extend(slack)
+        self.parent.append(alpha)
+        self.column.append(x)
+        proofs[x][alpha] = proofs[x ^ 1][beta] = _EMPTY
 
-    def entry(self, alpha: int, x: int, beta: int, proof: Word) -> None:
+    def entry(self, alpha: int, x: int, beta: int, proof: _Proof) -> None:
         """Record entry (alpha, x) = beta and its inverse, proof showing
         W(alpha)*x*W(beta)^-1."""
-        self.proofs[alpha][x] = proof
-        self.proofs[beta][x ^ 1] = proof.inverse()
+        self.proofs[x][alpha] = proof
+        self.proofs[x ^ 1][beta] = proof.inverse()
 
-    def scan(self, alpha: int, word: list[int], i: int, j: int) -> Word:
+    def scan(self, alpha: int, word: list[int], i: int, j: int) -> _Proof:
         """Proof of W(f)*word[i..j]*W(b)^-1 for a scan of the relator
         conjugate word at alpha whose forward end f is i letters in and
         whose backward end b is len(word) - 1 - j letters back."""
@@ -352,55 +463,56 @@ class _ProofLog:
         forward = []
         f = alpha
         for x in word[:i]:
-            forward.append(proofs[f][x])
+            forward.append(proofs[x][f])
             f = table[x][f]
-        w = self.words[alpha]
-        parts = [c.inverse() for c in reversed(forward)]
-        parts += (w, self.factors[tuple(word)], w.inverse())
+        parts = [_concat(forward).inverse(),
+                 alpha, self.factors[tuple(word)], ~alpha]
         b = alpha
         for x in reversed(word[j + 1:]):
-            parts.append(proofs[b][x ^ 1])
+            parts.append(proofs[x ^ 1][b])
             b = table[x ^ 1][b]
-        return _product(parts)
+        return _concat(parts)
 
-    def find(self, a: int) -> tuple[int, Word]:
+    def find(self, a: int) -> tuple[int, _Proof]:
         """Live representative of a, with proof of W(a)*W(rep)^-1."""
         chain = []
         while a in self.merged:
             chain.append(a)
             a = self.merged[a][0]
-        proof = Word.identity()
+        proof = _EMPTY
         for c in reversed(chain):  # path-compress, root-most first
-            proof = self.merged[c][1] * proof
+            proof = _concat((self.merged[c][1], proof))
             self.merged[c] = (a, proof)
         return a, proof
 
-    def merge(self, a: int, b: int, proof: Word) -> None:
+    def merge(self, a: int, b: int, proof: _Proof) -> None:
         """Record that cosets a, b coincide; proof shows W(a)*W(b)^-1."""
         ra, ca = self.find(a)
         rb, cb = self.find(b)
         if ra == rb:
             return
-        bridge = _product((ca.inverse(), proof, cb))  # W(ra)*W(rb)^-1
+        bridge = _concat((ca.inverse(), proof, cb))  # W(ra)*W(rb)^-1
         if self.novelty_keys is not None:
-            core, conj = (self.words[ra] * self.words[rb].inverse()).cyclic_reduce()
+            core, conj = (self.coset_word(ra)
+                          * self.coset_word(rb).inverse()).cyclic_reduce()
             if _cyclic_class_key(core) not in self.novelty_keys:
-                raise _NewTrivialWord(core, conj.inverse() * bridge * conj)
+                raise _NewTrivialWord(
+                    core, conj.inverse() * self.expand(bridge) * conj)
         if rb < ra:
             ra, rb, bridge = rb, ra, bridge.inverse()
         self.merged[rb] = (ra, bridge.inverse())
 
-    def moved(self, gamma: int, x: int, delta: int) -> Word:
+    def moved(self, gamma: int, x: int, delta: int) -> _Proof:
         """Proof of W(mu)*x*W(nu)^-1 for the entry (gamma, x) = delta of a
         dead coset, where mu and nu are the representatives of its ends."""
         _, bg = self.find(gamma)
         _, bd = self.find(delta)
-        return _product((bg.inverse(), self.proofs[gamma][x], bd))
+        return _concat((bg.inverse(), self.proofs[x][gamma], bd))
 
-    def forced(self, moved: Word, c: int, y: int) -> Word:
+    def forced(self, moved: _Proof, c: int, y: int) -> _Proof:
         """moved shows W(c)*y*W(o)^-1 and entry (c, y) = e is occupied:
         proof of W(o)*W(e)^-1 for the merge of o and e this forces."""
-        return moved.inverse() * self.proofs[c][y]
+        return _concat((moved.inverse(), self.proofs[y][c]))
 
     def trace(self, w: Word) -> Word:
         """Proof word whose expansion is w, valid once only coset 0 is live."""
@@ -408,11 +520,21 @@ class _ProofLog:
         parts = []
         for letter in w.letters:
             x = self.ct.col[letter]
-            parts.append(self.proofs[a][x])
+            parts.append(self.proofs[x][a])
             a = self.ct.table[x][a]
         if a != 0:
             raise NotFound(f"{w} does not return to the base coset")
-        return _product(parts)
+        return _product([self.expand(q) for q in parts])
+
+
+@dataclass(frozen=True)
+class CollapseStats:
+    """The work of one `derive_by_collapse` call."""
+
+    enumerations: int    # proof-logging enumerations, restarts included
+    lemmas: int          # lemmas surfaced, before pruning
+    cosets_defined: int  # cosets defined, summed over the enumerations
+    longest_proof: int   # letters in the longest proof expanded
 
 
 @dataclass(frozen=True)
@@ -430,6 +552,8 @@ class Derivation:
 
     target: Word
     steps: tuple[Certificate, ...]
+    # the work of the collapse that derived it; not part of the witness
+    stats: CollapseStats | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -468,7 +592,10 @@ def derive_by_collapse(p: Presentation, target: Word,
     lemmas found so far; each enumeration either completes (the group is certified
     trivial and target is traced through the table) or surfaces one new
     short trivial word, which joins the lemma list with the certificate
-    the proof log extracted for it, and the enumeration restarts.
+    the proof log extracted for it, and the enumeration restarts.  One
+    proof log serves every enumeration, so the relator data it derives is
+    built once and extended by each lemma.  The result's `stats` count the
+    work.
     Only applicable when the presented group is trivial; raises NotFound
     otherwise or when the bounds are exhausted, and ValueError when target
     uses a generator outside p.
@@ -477,10 +604,12 @@ def derive_by_collapse(p: Presentation, target: Word,
     rels = list(p.relators)
     nbase = len(rels)
     steps: list[Certificate] = []
+    log = _ProofLog(novelty=True)
+    enumerations = cosets = 0
     while True:
-        current = Presentation(p.generators, rels)
-        log = _ProofLog({_cyclic_class_key(r) for r in rels})
-        ct = CosetTable(current, max_cosets=max_cosets, log=log)
+        ct = CosetTable(Presentation(p.generators, rels),
+                        max_cosets=max_cosets, log=log)
+        enumerations += 1
         try:
             completed = _run(ct, "felsch")
         except _NewTrivialWord as lemma:
@@ -489,6 +618,8 @@ def derive_by_collapse(p: Presentation, target: Word,
             steps.append(Certificate(lemma.word, _proof_to_factors(lemma.proof)))
             rels.append(lemma.word)
             continue
+        finally:
+            cosets += ct.defined_total
         if not completed:
             raise NotFound(
                 f"coset limit {max_cosets} exceeded after {len(steps)} lemmas "
@@ -497,7 +628,9 @@ def derive_by_collapse(p: Presentation, target: Word,
             raise NotFound(f"group not certified trivial ({ct.live_count} cosets)")
         steps.append(Certificate(target, _proof_to_factors(log.trace(target))))
         break
-    d = Derivation(target, _prune_derivation(nbase, steps))
+    stats = CollapseStats(enumerations=enumerations, lemmas=len(steps) - 1,
+                          cosets_defined=cosets, longest_proof=log.longest)
+    d = Derivation(target, _prune_derivation(nbase, steps), stats)
     if not verify_derivation(p, d):
         raise AssertionError(f"extracted derivation failed for {target}")
     return d

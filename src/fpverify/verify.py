@@ -12,7 +12,7 @@ whatever outcome that produces.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .certificates import (
@@ -208,6 +208,7 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
         rest = full.with_relators(
             [r for j, r in enumerate(full.relators) if j != i])
         target = full.relators[i]
+        work = {}  # a fresh derivation's collapse counters
         if derivations is not None:
             d = derivations[i]
             ok = d.target == target and verify_derivation(rest, d)
@@ -217,10 +218,11 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
                 d = derive_by_collapse(rest, target)
                 ok = verify_derivation(rest, d)
                 nsteps = len(d.steps)
+                work = asdict(d.stats)
             except NotFound as exc:
                 ok, nsteps = False, str(exc)
         certified += bool(ok)
-        steps.check(f"relator-{i}", bool(ok), steps_in_chain=nsteps)
+        steps.check(f"relator-{i}", bool(ok), steps_in_chain=nsteps, **work)
     steps.check("count", certified >= s.expected["redundant_count_at_least"],
                 certified=certified,
                 required=s.expected["redundant_count_at_least"])

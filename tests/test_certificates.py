@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -32,7 +33,6 @@ from fpverify.certificates import (
 )
 from fpverify.corpus import load_scenario
 from fpverify.coset import CosetTable, _run
-from fpverify.presentation import _cyclic_class_key
 
 from conftest import random_word, schema
 
@@ -212,6 +212,21 @@ def test_derive_by_collapse_rejects_nontrivial_group():
         derive_by_collapse(z, Word.gen("a"), max_cosets=50)
 
 
+def test_derive_by_collapse_memory_is_linear_on_an_infinite_group():
+    # Z^2 never collapses, so the run defines cosets up to the limit; the
+    # log keeps one proof node per table event and no definition words,
+    # so its memory grows linearly with the cosets
+    z2 = parse_presentation("< a, b | a b a^-1 b^-1 >")
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotFound, match="coset limit 4000 exceeded"):
+            derive_by_collapse(z2, Word.gen("a"), max_cosets=4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_derive_by_collapse_keeps_the_logged_lemma_proofs(monkeypatch):
     # the collapse of this group surfaces lemmas; their certificates are
     # the proofs the log extracted, with no splice search behind them
@@ -241,6 +256,23 @@ def test_deep_redundant_relators_derive_fresh(i):
     assert d.target == full.relators[i]
     assert len(d.steps) == DEEP_REDUNDANT[i]
     assert verify_derivation(rest, d)
+    # every enumeration but the last stopped at a lemma, and pruning only
+    # drops lemmas
+    assert d.stats.enumerations == d.stats.lemmas + 1 >= len(d.steps)
+
+
+def test_collapse_stats_count_the_work():
+    s = load_scenario("redundancy-nine")
+    full = s.presentation()
+    rest = full.with_relators(full.relators[:15] + full.relators[16:])
+    d = derive_by_collapse(rest, full.relators[15])
+    assert (d.stats.enumerations, d.stats.lemmas, d.stats.cosets_defined) \
+        == (11, 10, 1704)
+    assert d.stats.longest_proof > 0
+    # the counters are not part of the witness
+    assert "stats" not in d.to_json()
+    again = Derivation.from_json(d.to_json())
+    assert again.stats is None and again == d
 
 
 def test_target_outside_the_presentation_is_an_input_error(monkeypatch):
@@ -323,17 +355,18 @@ def expand(proof, relators):
 
 def assert_entry_proofs(log, relators):
     """Every set entry of the logged table, in live and dead rows, and
-    every merge bridge expands to what it claims."""
-    W = log.words
+    every merge bridge expands to what it claims; proofs and definition
+    words are read through the log's own expansion."""
+    W = log.coset_word
     for a in range(len(log.ct.p)):
         for x, b in enumerate([c[a] for c in log.ct.table]):
             if b is not None:
-                assert expand(log.proofs[a][x], relators) == \
-                    Word(W[a].letters + log.letters[x].letters
-                         + W[b].inverse().letters)
+                assert expand(log.expand(log.proofs[x][a]), relators) == \
+                    Word(W(a).letters + (log.letters[x],)
+                         + W(b).inverse().letters)
     for c, (parent, proof) in log.merged.items():
-        assert expand(proof, relators) == \
-            Word(W[c].letters + W[parent].inverse().letters)
+        assert expand(log.expand(proof), relators) == \
+            Word(W(c).letters + W(parent).inverse().letters)
 
 
 @pytest.mark.parametrize("text", TRIVIAL_GROUPS)
@@ -350,12 +383,24 @@ def test_proving_table_entry_proofs_expand_to_their_entries(text):
 
     # the lemma-surfacing run that derive_by_collapse makes stops mid-merge;
     # the entries recorded so far and the lemma's proof still hold
-    log = _ProofLog({_cyclic_class_key(r) for r in p.relators})
+    log = _ProofLog(novelty=True)
     ct = CosetTable(p, max_cosets=1000, log=log)
     with pytest.raises(_NewTrivialWord) as lemma:
         _run(ct, "felsch")
     assert_entry_proofs(log, p.relators)
     assert expand(lemma.value.proof, p.relators) == lemma.value.word
+
+
+def test_a_proof_log_serves_tables_whose_relators_grow():
+    # derive_by_collapse reuses one log and appends each lemma; the log
+    # refuses a table whose relators do not extend the last table's
+    log = _ProofLog(novelty=True)
+    p = parse_presentation("< a, b | a b a^-1 b^-2 >")
+    CosetTable(p, log=log)
+    CosetTable(p.with_relators(p.relators + (parse_word("a^3"),)), log=log)
+    assert len(log.novelty_keys) == 2
+    with pytest.raises(ValueError, match="extend"):
+        CosetTable(parse_presentation("< a, b | a^2 >"), log=log)
 
 
 # -- typed witness loading ---------------------------------------------------

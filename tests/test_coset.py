@@ -289,10 +289,9 @@ def test_limit_keeps_a_consistent_table():
 
 
 def test_engines_agree_on_random_presentations():
-    # Without novelty keys the proof log's proof words blow up in
-    # coincidence cascades (thousands of letters at 20 cosets on some of
-    # these inputs), so the limit stays small.
-    limit = 20
+    # the proof log keeps one proof node per table event, so it runs at
+    # the same limit as the plain strategies
+    limit = 64
     rng = random.Random(2)
     indices_seen = set()
     all_completed = 0
@@ -315,6 +314,17 @@ def test_engines_agree_on_random_presentations():
             all_completed += 1
             indices_seen.add(indices["hlt"])
     assert all_completed >= 90 and len(indices_seen) >= 6
+
+
+def test_proof_log_survives_a_coincidence_cascade():
+    # a coincidence cascade whose proofs are too long to expand at this
+    # limit; the log stores them as nodes and expands none of them
+    p = parse_presentation("< a, b, c | 1, a^-1 b c^-1 a c^-1, b c^-1 >")
+    felsch = enumerate_cosets(p, (), strategy="felsch", max_cosets=64)
+    assert felsch.status == "LimitExceeded"
+    table = CosetTable(p, max_cosets=64, log=_ProofLog())
+    assert not _run(table, "felsch")
+    assert table.coincidence_count > 0
 
 
 def test_verify_trivial():

@@ -62,3 +62,13 @@ def test_gap_redundancy_derives_by_collapse_alone(monkeypatch):
     assert report.status == "pass"
     count = next(s for s in report.steps if s.name == "count")
     assert count.detail["certified"] == 11
+    # each fresh derivation reports its collapse counters
+    relators = {s.name: s.detail for s in report.steps
+                if s.name.startswith("relator-")}
+    assert len(relators) == 11
+    for detail in relators.values():
+        assert detail["enumerations"] == detail["lemmas"] + 1
+        assert detail["cosets_defined"] > 0 and detail["longest_proof"] > 0
+    assert {k: relators["relator-15"][k] for k in
+            ("enumerations", "lemmas", "cosets_defined")} \
+        == {"enumerations": 19, "lemmas": 18, "cosets_defined": 4071}
