@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .coset import CosetTable, _run
@@ -227,7 +228,9 @@ def search_certificate(p: Presentation, target: Word,
                 best[key] = nfac + 1
                 parents[key] = (letters, conj, idx, sign)
                 heapq.heappush(heap, (len(new), nfac + 1, key))
-    raise NotFound(f"no certificate for {target} within bounds")
+    bound = f"max_states={max_states}" if len(best) > max_states else "search space"
+    raise NotFound(f"no certificate for {target}: {bound} exhausted after "
+                   f"{len(best)} states explored")
 
 
 def _rebuild(target: Word, parents: dict) -> Certificate:
@@ -348,8 +351,9 @@ class _ProofLog:
 
     One log serves a sequence of tables over the same generators whose
     relators only grow, as `derive_by_collapse` makes them: the factor
-    table of the relators' cyclic conjugates (and, with novelty, their
-    cyclic class keys) is built once and extended by each new relator.
+    table and the table's scan lists `by_first` of the relators' cyclic
+    conjugates (and, with novelty, their cyclic class keys) are built
+    once and extended by each new relator.
 
     With novelty, a merge whose trivial word W(a)*W(b)^-1 is outside the
     cyclic classes of the table's relators raises `_NewTrivialWord` before
@@ -372,6 +376,8 @@ class _ProofLog:
             raise ValueError("a proof log's next table must extend the "
                              "relators of its last one")
         self.ct, self.col = ct, ct.col
+        if not n:
+            self.by_first = [[] for _ in range(ct.ncols)]
         for k in range(n, len(rels)):
             self._add_relator(k, rels[k])
         self.relators = rels
@@ -397,6 +403,7 @@ class _ProofLog:
                     u = _reduced(base[:m])
                     self.factors[key] = _Proof((), word=_reduced(
                         u.inverse().letters + ((f"@{k}", sign),) + u.letters))
+                    insort(self.by_first[key[0]], list(key), key=len)
 
     def coset_word(self, c: int) -> Word:
         """W(c), rebuilt by walking the definition tree back to coset 0."""
@@ -611,7 +618,7 @@ def derive_by_collapse(p: Presentation, target: Word,
                         max_cosets=max_cosets, log=log)
         enumerations += 1
         try:
-            completed = _run(ct, "felsch")
+            completed = _run(ct, "felsch", log.by_first)
         except _NewTrivialWord as lemma:
             if len(steps) >= max_steps:
                 raise NotFound(f"no derivation within {max_steps} lemmas")

@@ -29,15 +29,15 @@ with a log is never compacted.
 
 Deductions.  Both strategies run one driver that walks the live rows in
 order and defines each missing entry of a row.  After each step it pops
-the table's deduction stack and scans the cyclic conjugates of the
-relators and their inverses that begin with each changed entry.  A
-coincidence pushes every entry it moves onto that stack.  HLT adds
-relator fill scans: at each row it first scans every relator with
-`fill`, before it defines the entries still missing; its stack holds
-only what coincidences move, so the consequences of a merge are found at
+the table's deduction stack and scans each changed entry (alpha, x) at
+alpha by the cyclic conjugates x u of the relators and their inverses;
+their rotated inverses x^-1 u^-1 at alpha^x would walk the same cycles
+backwards.  A coincidence pushes every entry it moves onto that stack.
+HLT adds relator fill scans: at each row it first scans every relator
+with `fill`, then defines the entries still missing; its stack holds
+only what coincidences move, so a merge's consequences are found at
 once, not when the row pointer reaches the cosets it touched.  Felsch
-adds tracked deductions: every definition and every deduction a scan
-closes is pushed too.
+also pushes every definition and every deduction a scan closes.
 """
 
 from __future__ import annotations
@@ -407,9 +407,9 @@ def _relator_conjugates(ct: CosetTable) -> list[list[list[int]]]:
 
 def _process_deductions(ct: CosetTable,
                         by_first: list[list[list[int]]]) -> None:
-    """Pop the deduction stack to exhaustion, scanning the relator
-    conjugates through each changed entry from both of its ends."""
-    deductions, p, table = ct.deductions, ct.p, ct.table
+    """Pop the deduction stack to exhaustion, scanning each relator cycle
+    through a changed entry (alpha, x) once: at alpha, from x on."""
+    deductions, p = ct.deductions, ct.p
     scan, rep = ct.scan, ct.rep
     while deductions:
         alpha, x = deductions.pop()
@@ -418,25 +418,17 @@ def _process_deductions(ct: CosetTable,
             scan(alpha, word)
             if p[alpha] != alpha:
                 break
-        if p[alpha] != alpha:
-            continue
-        beta = table[x][alpha]
-        if beta is not None:
-            beta = rep(beta)
-            for word in by_first[x ^ 1]:
-                scan(beta, word)
-                if p[beta] != beta:
-                    break
 
 
-def _run(ct: CosetTable, strategy: str) -> bool:
+def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
     """Fill the table row by row; returns True on completion, False when
     the limit is exceeded.  HLT first scans the relators at each row,
     defining cosets as it goes; then both strategies define the row's
-    missing entries, draining the deduction stack after each step."""
+    missing entries, draining the deduction stack after each step.
+    `by_first` is `_relator_conjugates(ct)`, when the caller keeps it."""
     hlt = strategy == "hlt"
     ct.track_deductions = not hlt
-    by_first = _relator_conjugates(ct)
+    by_first = by_first or _relator_conjugates(ct)
     try:
         for word in ct.subgroup_cols:
             ct.scan(0, word, True)

@@ -16,7 +16,15 @@ from fpverify import (
 )
 from fpverify.certificates import _ProofLog
 from fpverify.corpus import load_corpus_presentation
-from fpverify.coset import _COLUMN_BLOCK, STRATEGIES, CosetTable, _run
+from fpverify.coset import (
+    _COLUMN_BLOCK,
+    STRATEGIES,
+    CosetTable,
+    _relator_conjugates,
+    _run,
+)
+
+from conftest import random_word
 
 
 # -- independent finite-group oracles ---------------------------------------
@@ -207,9 +215,9 @@ def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
 
 
 @pytest.mark.parametrize("strategy, convention, filename, defined", [
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 3_332),
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 24_823),
-    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 8_339),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 3_333),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 24_825),
+    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 8_344),
     ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877),
     ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 17_068),
     ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154),
@@ -223,6 +231,66 @@ def test_strategies_process_coincidence_moved_entries(strategy, convention,
     result = enumerate_cosets(p, (), strategy=strategy)
     assert result.completed and result.index == 1
     assert result.cosets_defined_total == defined
+
+
+def random_relators(rng, gens, count, max_len=8):
+    """count nonempty cyclically reduced words over gens."""
+    words = []
+    while len(words) < count:
+        core, _ = random_word(rng, gens, max_len).cyclic_reduce()
+        if not core.is_identity():
+            words.append(core)
+    return words
+
+
+# proper powers repeat their own rotations, and the last case holds a
+# relator and a rotation of its inverse; no cyclically reduced word is a
+# rotation of its own inverse, since a free group has no nontrivial
+# element conjugate to its inverse
+CONJUGATE_EDGE_CASES = ["< a | a^2 >", "< a, b | (a b)^2 >", "< a, b | [a, b] >",
+                        "< a, b | a b^2 a^-1 b^-1, a b^-2 a^-1 b >"]
+
+
+def test_one_scan_per_deduction_covers_both_directions():
+    # the conjugates beginning with x^-1 are exactly the rotated inverses
+    # x^-1 u^-1 of those x u beginning with x; scanned at alpha^x and at
+    # alpha, the two of a pair walk the same closed path through the entry
+    # (alpha, x), so a deduction that scans only the latter loses nothing
+    rng = random.Random(14)
+    presentations = [parse_presentation(t) for t in CONJUGATE_EDGE_CASES]
+    for _ in range(100):
+        gens = "abc"[:rng.choice((1, 2, 3))]
+        presentations.append(Presentation(
+            gens, random_relators(rng, gens, rng.randint(1, 4))))
+    for p in presentations:
+        by_first = _relator_conjugates(CosetTable(p))
+        for x, words in enumerate(by_first):
+            keys = [tuple(w) for w in words]
+            assert len(set(keys)) == len(keys), (p, x)
+            rotated_inverses = {(x ^ 1, *(c ^ 1 for c in reversed(w[1:])))
+                                for w in words}
+            assert set(map(tuple, by_first[x ^ 1])) == rotated_inverses, (p, x)
+
+
+def test_a_proof_log_extends_the_scan_lists_in_the_tables_order():
+    # relators grow one lemma at a time, as in a collapse derivation; a
+    # lemma may be shorter than earlier relators, or a rotation of one or
+    # of its inverse
+    rng = random.Random(15)
+    for _ in range(40):
+        gens = "abc"[:rng.choice((2, 3))]
+        rels = random_relators(rng, gens, rng.randint(1, 3))
+        log = _ProofLog()
+        for _ in range(6):
+            ct = CosetTable(Presentation(gens, rels), log=log)
+            assert log.by_first == _relator_conjugates(ct), rels
+            if rng.random() < 0.3:
+                r = rng.choice(rels)
+                r = r if rng.random() < 0.5 else r.inverse()
+                k = rng.randrange(len(r))
+                rels.append(Word(r.letters[k:] + r.letters[:k]))
+            else:
+                rels += random_relators(rng, gens, 1, max_len=12)
 
 
 def test_strategies_at_tight_limits_on_random_presentations():
