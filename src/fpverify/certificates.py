@@ -608,14 +608,13 @@ def derive_by_collapse(p: Presentation, target: Word,
     uses a generator outside p.
     """
     p.check_word(target, "target")
-    rels = list(p.relators)
-    nbase = len(rels)
+    nbase = len(p.relators)
     steps: list[Certificate] = []
     log = _ProofLog(novelty=True)
     enumerations = cosets = 0
+    current = p  # p and the lemmas so far
     while True:
-        ct = CosetTable(Presentation(p.generators, rels),
-                        max_cosets=max_cosets, log=log)
+        ct = CosetTable(current, max_cosets=max_cosets, log=log)
         enumerations += 1
         try:
             completed = _run(ct, "felsch", log.by_first)
@@ -623,7 +622,7 @@ def derive_by_collapse(p: Presentation, target: Word,
             if len(steps) >= max_steps:
                 raise NotFound(f"no derivation within {max_steps} lemmas")
             steps.append(Certificate(lemma.word, _proof_to_factors(lemma.proof)))
-            rels.append(lemma.word)
+            current = current.with_relator(lemma.word)
             continue
         finally:
             cosets += ct.defined_total

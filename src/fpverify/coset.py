@@ -38,6 +38,18 @@ with `fill`, then defines the entries still missing; its stack holds
 only what coincidences move, so a merge's consequences are found at
 once, not when the row pointer reaches the cosets it touched.  Felsch
 also pushes every definition and every deduction a scan closes.
+
+Index 1.  Every entry of the table and every merge is a valid deduction
+about the cosets of the subgroup H, so once each column's entry at coset
+0 is defined and lies in coset 0's class, every generator and inverse
+fixes H's coset: H = G and the index is 1, even with a coincidence
+cascade half done (Havas & Ramsay 2000; Holt-Eick-O'Brien ch. 5).  The
+driver stops there and keeps the table's one-row quotient instead of
+merging the rest of the cascade one coset at a time.  The cosets still
+live then are counted as coincidences, so the counts match those of the
+full cascade, and `EnumerationResult.index_one_live` records how many
+there were.  A table with a proof log runs every cascade to its end,
+since its proofs follow each merge.
 """
 
 from __future__ import annotations
@@ -64,6 +76,11 @@ class _LimitReached(Exception):
     pass
 
 
+class _IndexOne(Exception):
+    """Coset 0's row closed on itself: every generator fixes the subgroup's
+    coset, so the index is 1."""
+
+
 @dataclass
 class EnumerationResult:
     status: str                 # "Completed" | "LimitExceeded"
@@ -75,6 +92,8 @@ class EnumerationResult:
     elapsed_ms: float
     table: "CosetTable | None" = None
     compactions: int = 0
+    # live cosets when coset 0's row closed on itself, 0 if it never did
+    index_one_live: int = 0
 
     @property
     def completed(self) -> bool:
@@ -140,6 +159,7 @@ class CosetTable:
         self.live_max = 1
         self.coincidence_count = 0
         self.compactions = 0
+        self.index_one_live = 0
         self.track_deductions = False
         self.deductions: list[tuple[int, int]] = []
         self.complete = False
@@ -207,6 +227,12 @@ class CosetTable:
         queue.append(hi)
 
     def coincidence(self, alpha: int, beta: int, proof=None) -> None:
+        """Merge alpha and beta and process the dead cosets to exhaustion.
+
+        Without a proof log, each processed dead coset whose class is now
+        coset 0's is followed by a look at coset 0's row: when every entry
+        there is defined and lies in coset 0's class, the index is 1 and
+        `_IndexOne` ends the cascade (see `_close_index_one`)."""
         queue: list[int] = []
         self._merge(alpha, beta, queue, proof)
         qi = 0
@@ -239,6 +265,8 @@ class CosetTable:
                     if log is not None:
                         log.entry(mu, x, nu, moved)
                     deductions.append((mu, x))
+            if log is None and rep(gamma) == 0 and self._row_zero_closed():
+                raise _IndexOne
 
     def scan(self, alpha: int, word: list[int], fill: bool = False) -> None:
         """Two-sided scan of word at alpha.
@@ -279,6 +307,27 @@ class CosetTable:
             if not fill:
                 return
             f, i = self.define(f, word[i]), i + 1
+
+    def _row_zero_closed(self) -> bool:
+        """Whether every column's entry at coset 0 lies in coset 0's class,
+        read through `rep`, so stale entries of a cascade count."""
+        rep = self.rep
+        for col in self.table:
+            beta = col[0]
+            if beta is None or rep(beta) != 0:
+                return False
+        return True
+
+    def _close_index_one(self) -> None:
+        """Replace the table by its one-row quotient once coset 0's row has
+        closed: every coset still live merges into coset 0, and each of
+        those merges is counted, as the full cascade would count it."""
+        self.index_one_live = self.live_count
+        self.coincidence_count += self.live_count - 1
+        self.live_count = 1
+        self.table = [[0] for _ in range(self.ncols)]
+        self.p = [0]
+        self.deductions.clear()
 
     # -- maintenance --------------------------------------------------------
 
@@ -424,7 +473,9 @@ def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
     """Fill the table row by row; returns True on completion, False when
     the limit is exceeded.  HLT first scans the relators at each row,
     defining cosets as it goes; then both strategies define the row's
-    missing entries, draining the deduction stack after each step.
+    missing entries, draining the deduction stack after each step.  A
+    coincidence that closes coset 0's row completes the run at once,
+    with the table replaced by its one-row quotient.
     `by_first` is `_relator_conjugates(ct)`, when the caller keeps it."""
     hlt = strategy == "hlt"
     ct.track_deductions = not hlt
@@ -461,6 +512,8 @@ def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
             alpha += 1
     except _LimitReached:
         return False
+    except _IndexOne:
+        ct._close_index_one()
     ct.complete = True
     return True
 
@@ -485,7 +538,8 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
         index=ct.live_count if ok else None,
         cosets_defined_total=ct.defined_total, cosets_live_max=ct.live_max,
         coincidences=ct.coincidence_count, strategy=strategy,
-        elapsed_ms=elapsed, table=ct, compactions=ct.compactions)
+        elapsed_ms=elapsed, table=ct, compactions=ct.compactions,
+        index_one_live=ct.index_one_live)
 
 
 def verify_trivial(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,

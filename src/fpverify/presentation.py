@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -72,17 +71,19 @@ class Presentation:
         if len(set(gens)) != len(gens):
             raise ValueError(f"duplicate generator names in {gens}")
         object.__setattr__(self, "generators", gens)
-        kept = []
-        for r in relators:
-            core, _ = r.cyclic_reduce()
-            if core.is_identity():
-                if not r.is_identity():
-                    warnings.warn(f"dropping trivial relator {r}")
-                continue
-            self.check_word(core, "relator")
-            kept.append(core)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "relators", tuple(kept))
+        object.__setattr__(self, "relators", tuple(
+            core for core in map(self._relator_core, relators)
+            if core is not None))
+
+    def _relator_core(self, r: Word) -> Word | None:
+        """r cyclically reduced and checked against the generators; None
+        for the identity, which a freely reduced r is only when empty."""
+        core, _ = r.cyclic_reduce()
+        if core.is_identity():
+            return None
+        self.check_word(core, "relator")
+        return core
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -106,6 +107,18 @@ class Presentation:
 
     def with_relators(self, relators: Iterable[Word]) -> "Presentation":
         return Presentation(self.generators, relators, name=self.name)
+
+    def with_relator(self, r: Word) -> "Presentation":
+        """This presentation with r appended, as `with_relators` would give
+        it, but reducing and checking r alone."""
+        core = self._relator_core(r)
+        out = object.__new__(Presentation)
+        object.__setattr__(out, "generators", self.generators)
+        object.__setattr__(out, "name", self.name)
+        object.__setattr__(out, "relators",
+                           self.relators if core is None
+                           else self.relators + (core,))
+        return out
 
     def to_json(self) -> dict:
         return {

@@ -137,7 +137,8 @@ def _run_presentation_scenario(s: Scenario, steps: _Steps, convention: str,
         else:
             status = "limit"
         steps.record("triviality", status, enumeration=result.to_json(),
-                     compactions=result.compactions)
+                     compactions=result.compactions,
+                     index_one_live=result.index_one_live)
         # independent cross-check: a trivial group must have trivial H1
         steps.check("h1-cross-check", h1.is_trivial(), computed=h1.to_json())
 

@@ -224,10 +224,17 @@ def triviality_detail(capsys, *argv):
 def test_triviality_step_reports_compactions(capsys):
     code, detail = triviality_detail(capsys)
     assert code == 0
-    assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 2)
+    # only the final compaction: the run stops when coset 0's row closes,
+    # before its dead cosets call for one
+    assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 1)
+    # the live cosets when index 1 was proven, under each strategy
+    assert detail["index_one_live"] == 1_377
+    code, detail = triviality_detail(capsys, "--strategy", "felsch")
+    assert (code, detail["index_one_live"]) == (0, 77)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
     assert "lookahead_passes" not in detail
+    assert detail["index_one_live"] == 0
     # a limit hit reports how far the run got
     assert detail["enumeration"]["cosets_live_max"] == 100
 

@@ -152,12 +152,60 @@ def test_felsch_stops_in_its_subgroup_scan():
 
 
 def test_felsch_compacts_during_the_run():
-    p = load_corpus_presentation("pi1-N-full.grp")
-    result = enumerate_cosets(p, (), strategy="felsch")
-    assert result.completed and result.index == 1
-    assert result.cosets_defined_total == 877
+    # a group of order 10,752 over <a>, where a has order 8: half of the
+    # cosets defined die, and the run ends with index > 1, so no index-1
+    # shortcut skips the in-run compaction
+    p = parse_presentation("< a, b | a^8, b^7, (a b)^2, (a^-1 b)^3 >")
+    result = enumerate_cosets(p, (Word.gen("a"),), strategy="felsch")
+    assert result.completed and result.index == 1344
+    assert (result.cosets_defined_total, result.coincidences) == (2688, 1344)
     # one during the run, and the final one before validation
     assert result.compactions == 2
+    assert result.index_one_live == 0
+
+
+def test_a_partly_closed_row_does_not_stop_the_run(monkeypatch):
+    # coset 0's row closes in some columns but not in all: a is trivial in
+    # the first group, and <a^3> = <a> fixes one of S3's three points
+    looks = []
+    row_zero_closed = CosetTable._row_zero_closed
+
+    def spy(ct):
+        looks.append(row_zero_closed(ct))
+        return looks[-1]
+
+    monkeypatch.setattr(CosetTable, "_row_zero_closed", spy)
+    cases = [("< a, b | a, b^3 >", ()),
+             ("< a, b | a^2, b^3, (a b)^2 >", (Word.gen("a", 3),))]
+    for text, subgroup in cases:
+        for strategy in STRATEGIES:
+            result = enumerate_cosets(parse_presentation(text), subgroup,
+                                      strategy=strategy)
+            assert result.completed and result.index == 3, (text, strategy)
+            assert result.index_one_live == 0
+    # the row was looked at, and found open, every time
+    assert looks and not any(looks)
+
+
+@pytest.mark.parametrize("text, subgroup", [
+    ("< a | a^6 >", "a^5"),
+    ("pi1-N-full.grp", "a"),
+], ids=["cyclic-6", "pi1-N-full"])
+def test_an_index_one_subgroup_leaves_one_row(text, subgroup):
+    p = (load_corpus_presentation(text) if text.endswith(".grp")
+         else parse_presentation(text))
+    for strategy in STRATEGIES:
+        result = enumerate_cosets(p, (parse_word(subgroup),),
+                                  strategy=strategy)
+        assert result.completed and result.index == 1
+        assert result.index_one_live >= 1
+        assert result.coincidences == result.cosets_defined_total - 1
+        ct = result.table
+        assert ct.p == [0] and ct.table == [[0]] * ct.ncols
+        ct.validate()
+        for g in p.generators:
+            assert permutation_action(ct, Word.gen(g)) == (0,)
+        assert permutation_action(ct, parse_word(subgroup)) == (0,)
 
 
 def test_limit_exceeded_statistics():
@@ -214,23 +262,33 @@ def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
     assert result.table.table == unlimited.table.table
 
 
-@pytest.mark.parametrize("strategy, convention, filename, defined", [
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 3_333),
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 24_825),
-    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 8_344),
-    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877),
-    ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 17_068),
-    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154),
-])
-def test_strategies_process_coincidence_moved_entries(strategy, convention,
-                                                      filename, defined):
+MOVED_ENTRY_CASES = [
+    # strategy, convention, file, defined, live_max, index_one_live
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 3_333, 3_208, 1_377),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 24_825, 23_493, 19_503),
+    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 8_344, 7_994, 5_312),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 77),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 17_068, 16_657, 14_784),
+    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_751),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, convention, filename, defined, live_max, index_one_live",
+    MOVED_ENTRY_CASES, ids=["-".join(case[:3]) for case in MOVED_ENTRY_CASES])
+def test_strategies_process_coincidence_moved_entries(
+        strategy, convention, filename, defined, live_max, index_one_live):
     # processing the entries each coincidence moves as deductions cuts
     # plain HLT's 17,203 and 32,774 definitions on the default inputs;
-    # the counts pin both strategies' work in their shared driver
+    # the counts pin both strategies' work in their shared driver.  The
+    # run stops once coset 0's row closes, with index_one_live cosets
+    # live, but counts every coset it would have merged after that
     p = load_corpus_presentation(filename, convention=convention)
     result = enumerate_cosets(p, (), strategy=strategy)
     assert result.completed and result.index == 1
-    assert result.cosets_defined_total == defined
+    assert (result.cosets_defined_total, result.cosets_live_max,
+            result.coincidences) == (defined, live_max, defined - 1)
+    assert result.index_one_live == index_one_live
 
 
 def random_relators(rng, gens, count, max_len=8):

@@ -97,6 +97,18 @@ def test_trivial_relator_dropped():
     assert p.relators == (Word.gen("a"),)
 
 
+def test_with_relator_matches_with_relators():
+    p = parse_presentation("< a, b | a^2, b^3 >")
+    for text in ("(a b)^2", "b a b a^-1 b^-1", "b^-1 a^2 b"):
+        r = parse_word(text)
+        extended = p.with_relator(r)
+        assert extended == p.with_relators(p.relators + (r,))
+        assert extended.relators[:2] == p.relators
+    assert p.with_relator(parse_word("1")) == p
+    with pytest.raises(ValueError, match="unknown generators"):
+        p.with_relator(parse_word("c"))
+
+
 def test_round_trip_corpus():
     for s in list_scenarios():
         for name in s.files.values():
