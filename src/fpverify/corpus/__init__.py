@@ -88,11 +88,10 @@ def load_scenario(scenario_id: str) -> Scenario:
         known = ", ".join(sorted(registry))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
     s = registry[scenario_id]
-    # validate that every referenced file exists and every .grp parses
+    # every referenced file must exist; its pipeline parses it, in the
+    # run's convention
     for name in s.files.values():
-        path = corpus_path(name)
-        if path.suffix == ".grp":
-            load_corpus_presentation(name)
+        corpus_path(name)
     return s
 
 

@@ -331,11 +331,12 @@ class CosetTable:
 
     # -- maintenance --------------------------------------------------------
 
-    def compact(self) -> list[int | None]:
-        """Drop dead cosets, renumber live ones; returns old->new mapping."""
+    def compact(self, order: list[int] | None = None) -> list[int | None]:
+        """Drop dead cosets and renumber the live ones in `order`, by
+        default their current order; returns the old->new mapping."""
         self.compactions += 1
         n = len(self.p)
-        live = self.live_cosets()
+        live = self.live_cosets() if order is None else order
         mapping: list[int | None] = [None] * n
         for new, old in enumerate(live):
             mapping[old] = new
@@ -359,7 +360,9 @@ class CosetTable:
         return None
 
     def standardize(self) -> None:
-        """Renumber cosets breadth-first from coset 0 by generator order."""
+        """Renumber cosets breadth-first from coset 0 by generator order,
+        dropping dead ones.  The table must be complete and validated, so
+        that live entries point only at live cosets."""
         assert self.complete
         table = self.table
         order: list[int] = [0]
@@ -373,11 +376,7 @@ class CosetTable:
                 if beta not in seen:
                     seen.add(beta)
                     order.append(beta)
-        mapping = [0] * len(self.p)
-        for new, old in enumerate(order):
-            mapping[old] = new
-        self.table = [[mapping[col[old]] for old in order] for col in table]
-        self.p = list(range(len(order)))
+        self.compact(order)
 
     def validate(self) -> None:
         """Check involution consistency, closed relator traces, and subgroup
@@ -530,7 +529,6 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
     ok = _run(ct, strategy)
     elapsed = (time.monotonic() - start) * 1000.0
     if ok:
-        ct.compact()
         ct.validate()
         ct.standardize()
     return EnumerationResult(

@@ -359,6 +359,14 @@ def find_defining_relator(p: Presentation, gen: str) -> tuple[int, Word] | None:
     return None
 
 
+def _shortest_defining_relator(p: Presentation, gen: str) -> int | None:
+    """Index of the shortest relator defining gen, the first among equals;
+    None when no relator defines it."""
+    found = [(len(r), i) for i, r in enumerate(p.relators)
+             if _defining_forms(r, gen) is not None]
+    return min(found)[1] if found else None
+
+
 def eliminate_generator(p: Presentation, gen: str,
                         using: int | None = None) -> tuple[Presentation, EliminateGenerator]:
     """Remove gen using a defining relator gen*w^-1; substitute w elsewhere.
@@ -427,13 +435,9 @@ def simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, list[Ti
             moves.extend(dropped)
         best: tuple[int, int, str, int] | None = None
         for pos, gen in enumerate(current.generators):
-            shortest: tuple[int, int] | None = None  # (len, relator index)
-            for i, r in enumerate(current.relators):
-                if _defining_forms(r, gen) is not None:
-                    if shortest is None or len(r) < shortest[0]:
-                        shortest = (len(r), i)
-            if shortest is not None:
-                key = (shortest[0], -pos, gen, shortest[1])
+            i = _shortest_defining_relator(current, gen)
+            if i is not None:
+                key = (len(current.relators[i]), -pos, gen, i)
                 if best is None or key < best:
                     best = key
         if best is None:

@@ -27,7 +27,7 @@ from .corpus import Scenario, list_scenarios, load_scenario
 from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
 from .presentation import (
     Presentation,
-    _defining_forms,
+    _shortest_defining_relator,
     eliminate_generator,
     parse_presentation,
     parse_word,
@@ -143,15 +143,6 @@ def _run_presentation_scenario(s: Scenario, steps: _Steps, convention: str,
         steps.check("h1-cross-check", h1.is_trivial(), computed=h1.to_json())
 
 
-def _eliminate_shortest(p: Presentation, gen: str) -> Presentation:
-    """Eliminate gen via its shortest defining relator."""
-    candidates = [(len(r), i) for i, r in enumerate(p.relators)
-                  if _defining_forms(r, gen) is not None]
-    idx = min(candidates)[1]
-    out, _ = eliminate_generator(p, gen, using=idx)
-    return out
-
-
 def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
                               max_cosets: int, strategy: str) -> None:
     base = s.presentation("base", convention=convention)
@@ -161,7 +152,8 @@ def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
     union = Presentation(new.generators, base.relators + new.relators)
     current = union
     for gen in s.expected["eliminate"]:
-        current = _eliminate_shortest(current, gen)
+        current, _ = eliminate_generator(
+            current, gen, using=_shortest_defining_relator(current, gen))
     steps.check("eliminate",
                 current == frozen_raw,
                 generators=list(current.generators),
@@ -209,21 +201,20 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
         rest = full.with_relators(
             [r for j, r in enumerate(full.relators) if j != i])
         target = full.relators[i]
-        work = {}  # a fresh derivation's collapse counters
         if derivations is not None:
             d = derivations[i]
             ok = d.target == target and verify_derivation(rest, d)
-            nsteps = len(d.steps)
+            detail = {"steps_in_chain": len(d.steps)}
         else:
             try:
                 d = derive_by_collapse(rest, target)
                 ok = verify_derivation(rest, d)
-                nsteps = len(d.steps)
-                work = asdict(d.stats)
+                # with the fresh derivation's collapse counters
+                detail = {"steps_in_chain": len(d.steps), **asdict(d.stats)}
             except NotFound as exc:
-                ok, nsteps = False, str(exc)
+                ok, detail = False, {"error": str(exc)}
         certified += bool(ok)
-        steps.check(f"relator-{i}", bool(ok), steps_in_chain=nsteps, **work)
+        steps.check(f"relator-{i}", bool(ok), **detail)
     steps.check("count", certified >= s.expected["redundant_count_at_least"],
                 certified=certified,
                 required=s.expected["redundant_count_at_least"])
@@ -250,7 +241,8 @@ def _pipeline(s: Scenario):
 def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
                  strategy: str = DEFAULT_STRATEGY) -> RunReport:
-    # the run and its first step include loading and checksumming the corpus
+    # the run and its first step include looking up the scenario and
+    # checking that its files exist
     t0 = time.monotonic()
     steps = _Steps()
     s = load_scenario(scenario_id)

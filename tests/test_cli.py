@@ -224,8 +224,8 @@ def triviality_detail(capsys, *argv):
 def test_triviality_step_reports_compactions(capsys):
     code, detail = triviality_detail(capsys)
     assert code == 0
-    # only the final compaction: the run stops when coset 0's row closes,
-    # before its dead cosets call for one
+    # only the final renumbering: the run stops when coset 0's row closes,
+    # before its dead cosets call for a compaction
     assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 1)
     # the live cosets when index 1 was proven, under each strategy
     assert detail["index_one_live"] == 1_377

@@ -66,9 +66,11 @@ def test_every_scenario_has_source_claim():
 
 def test_referenced_files_exist_and_parse():
     for s in corpus.list_scenarios():
-        loaded = corpus.load_scenario(s.id)  # validates internally
+        loaded = corpus.load_scenario(s.id)  # checks that the files exist
         for name in loaded.files.values():
             assert corpus.corpus_path(name).is_file()
+            if name.endswith(".grp"):
+                corpus.load_corpus_presentation(name)
 
 
 def test_presentation_files_round_trip():

@@ -159,7 +159,7 @@ def test_felsch_compacts_during_the_run():
     result = enumerate_cosets(p, (Word.gen("a"),), strategy="felsch")
     assert result.completed and result.index == 1344
     assert (result.cosets_defined_total, result.coincidences) == (2688, 1344)
-    # one during the run, and the final one before validation
+    # one during the run, and the final renumbering
     assert result.compactions == 2
     assert result.index_one_live == 0
 

@@ -1,8 +1,10 @@
 import time
+from collections import Counter
 
 import pytest
 
-from fpverify import run_all, verify
+import fpverify.corpus as corpus
+from fpverify import NotFound, run_all, verify
 from fpverify.corpus import Scenario, list_scenarios
 
 
@@ -72,3 +74,32 @@ def test_gap_redundancy_derives_by_collapse_alone(monkeypatch):
     assert {k: relators["relator-15"][k] for k in
             ("enumerations", "lemmas", "cosets_defined")} \
         == {"enumerations": 19, "lemmas": 18, "cosets_defined": 4071}
+
+
+def test_run_all_loads_each_file_once_per_scenario(monkeypatch):
+    loads = Counter()
+    load = corpus.load_corpus_presentation
+
+    def counting_load(name, *args, **kwargs):
+        loads[name] += 1
+        return load(name, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "load_corpus_presentation", counting_load)
+    run_all()
+    assert loads == Counter(name for s in list_scenarios()
+                            for name in s.files.values()
+                            if name.endswith(".grp"))
+
+
+def test_a_failed_derivation_reports_its_error(monkeypatch):
+    def not_found(rest, target):
+        raise NotFound("no chain within the limit")
+
+    monkeypatch.setattr(verify, "derive_by_collapse", not_found)
+    report = verify.run_scenario("redundancy-nine", convention="gap")
+    relators = [s for s in report.steps if s.name.startswith("relator-")]
+    assert len(relators) == 11
+    for step in relators:
+        assert step.status == "fail"
+        assert step.detail == {"error": "no chain within the limit"}
+    assert report.status == "fail"
