@@ -18,14 +18,23 @@ blocks, and the coset count is the length of the union-find array `p`,
 not of a column.  Coincidences are handled by that union-find array,
 processed to exhaustion before any new coset is defined.
 
-`CosetTable.scan` is the one two-sided trace of a word at a coset; with
-`fill` (HLT) it defines cosets until the trace closes.
+`CosetTable.scan` is the one two-sided trace of words at a coset.  It
+takes a list of words and scans them in turn, so a row's relators, the
+subgroup words and a deduction's relator cycles cost one call each, and
+it returns right after a merge, so the caller can drain the deductions
+and resume.  With `fill` (HLT's relator scans, and the subgroup words of
+both strategies) an incomplete trace's gap is defined as one chain of
+new cosets in a local loop and closed by the gap's last letter as a
+deduction: the "scan and fill" of Holt-Eick-O'Brien ch. 5, without a
+method call per coset.
 
 Proof logging.  A table may carry a proof log (`certificates._ProofLog`),
 called only where the table changes: a definition, a deduction closed by
 a scan, and each merge and moved entry of a coincidence.  The per-letter
 loops never touch it.  Its proofs are keyed by coset number, so a table
-with a log is never compacted.
+with a log is never compacted, and they are products of relator factors,
+so a table with a log has no subgroup words.  Its fill scans define
+cosets one at a time through `CosetTable.define`, which logs each.
 
 Deductions.  Both strategies run one driver that walks the live rows in
 order and defines each missing entry of a row.  After each step it pops
@@ -129,12 +138,16 @@ class CosetTable:
     deductions a scan closes are pushed only while `track_deductions` is
     set, which the driver does for Felsch.  HLT instead fills each row's
     relator scans (`scan` with `fill`) before defining the row's missing
-    entries."""
+    entries.  A table with a proof log `log` must have no subgroup
+    words."""
 
     def __init__(self, presentation: Presentation, subgroup_gens=(),
                  max_cosets: int = DEFAULT_MAX_COSETS, log=None):
         if max_cosets < 1:
             raise ValueError("max_cosets must be >= 1")
+        if log is not None and subgroup_gens:
+            # the log's proofs are products of relator factors only
+            raise ValueError("a proof log needs the trivial subgroup")
         self.presentation = presentation
         self.gens = presentation.generators
         self.ncols = 2 * len(self.gens)
@@ -268,45 +281,86 @@ class CosetTable:
             if log is None and rep(gamma) == 0 and self._row_zero_closed():
                 raise _IndexOne
 
-    def scan(self, alpha: int, word: list[int], fill: bool = False) -> None:
-        """Two-sided scan of word at alpha.
+    def scan(self, alpha: int, words: list[list[int]], fill: bool = False,
+             k: int = 0) -> int:
+        """Two-sided scans of words[k:] at alpha in turn; returns the index
+        of the next word to scan, len(words) once all are scanned.
 
-        Closes the trace by a deduction when exactly one entry is missing,
-        or merges cosets when the two ends disagree.  An incomplete trace
-        is left alone, unless fill is set (HLT): then cosets are defined
-        forward until the trace closes.
+        Each scan closes its trace by a deduction when exactly one entry
+        is missing, or merges cosets when the two ends disagree; it
+        returns right after a merge, so the caller can drain the
+        deductions and, while alpha is live, resume.  An incomplete trace
+        is left alone, unless fill is set: then the gap word[i:j] between
+        the forward end f and the backward end b is defined as one chain
+        of new cosets, and word[j] closes the trace as a deduction.  The
+        words are freely reduced, so neither end moves during the chain,
+        except when f == b and word[j]^-1 == word[i]: the first new entry
+        then also extends the backward trace, and that step, like every
+        definition of a table with a proof log, goes through `define`.
+        At the coset limit the chain defines the cosets that fit and
+        raises `_LimitReached`, leaving the table and its counts as that
+        many `define` calls would.
         """
-        table = self.table
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j:
-                nxt = table[word[i]][f]
-                if nxt is None:
+        table, p, log = self.table, self.p, self.log
+        n = len(words)
+        while k < n:
+            word = words[k]
+            k += 1
+            f, i = alpha, 0
+            b, j = alpha, len(word) - 1
+            while True:
+                while i <= j:
+                    nxt = table[word[i]][f]
+                    if nxt is None:
+                        break
+                    f, i = nxt, i + 1
+                while j >= i:
+                    prv = table[word[j] ^ 1][b]
+                    if prv is None:
+                        break
+                    b, j = prv, j - 1
+                if j < i:
+                    if f != b:
+                        self.coincidence(f, b, None if log is None
+                                         else log.scan(alpha, word, i, j))
+                        return k
                     break
-                f, i = nxt, i + 1
-            while j >= i:
-                prv = table[word[j] ^ 1][b]
-                if prv is None:
-                    break
-                b, j = prv, j - 1
-            if j < i:
-                if f != b:
-                    self.coincidence(f, b, None if self.log is None
-                                     else self.log.scan(alpha, word, i, j))
-                return
-            if j == i:
+                if j > i:
+                    if not fill:
+                        break
+                    if log is not None or (f == b and word[j] ^ 1 == word[i]):
+                        f, i = self.define(f, word[i]), i + 1
+                        continue
+                    m = self.max_cosets - self.live_count
+                    if m > j - i:
+                        m = j - i
+                    beta = len(p)
+                    while beta + m > len(table[0]):
+                        self._grow()
+                    for x in word[i:i + m]:
+                        # beta is one int object, shared by p and the entries
+                        p.append(beta)
+                        table[x][f] = beta
+                        table[x ^ 1][beta] = f
+                        if self.track_deductions:
+                            self.deductions.append((f, x))
+                        f, beta = beta, beta + 1
+                    self.live_count += m
+                    self.defined_total += m
+                    if self.live_count > self.live_max:
+                        self.live_max = self.live_count
+                    if i + m < j:
+                        raise _LimitReached
+                    i = j
                 x = word[i]
-                if self.log is not None:
-                    self.log.entry(f, x, b, self.log.scan(alpha, word, i, j))
+                if log is not None:
+                    log.entry(f, x, b, log.scan(alpha, word, i, j))
                 table[x][f] = b
                 table[x ^ 1][b] = f
                 if self.track_deductions:
                     self.deductions.append((f, x))
-                return
-            if not fill:
-                return
-            f, i = self.define(f, word[i]), i + 1
+                break
+        return k
 
     def _row_zero_closed(self) -> bool:
         """Whether every column's entry at coset 0 lies in coset 0's class,
@@ -462,17 +516,18 @@ def _process_deductions(ct: CosetTable,
     while deductions:
         alpha, x = deductions.pop()
         alpha = rep(alpha)
-        for word in by_first[x]:
-            scan(alpha, word)
-            if p[alpha] != alpha:
-                break
+        words = by_first[x]
+        k = 0
+        while k < len(words) and p[alpha] == alpha:
+            k = scan(alpha, words, False, k)
 
 
 def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
     """Fill the table row by row; returns True on completion, False when
     the limit is exceeded.  HLT first scans the relators at each row,
-    defining cosets as it goes; then both strategies define the row's
-    missing entries, draining the deduction stack after each step.  A
+    defining cosets as it goes, in one `scan` call unless a merge
+    interrupts it; then both strategies define the row's missing
+    entries, draining the deduction stack after each step.  A
     coincidence that closes coset 0's row completes the run at once,
     with the table replaced by its one-row quotient.
     `by_first` is `_relator_conjugates(ct)`, when the caller keeps it."""
@@ -480,18 +535,23 @@ def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
     ct.track_deductions = not hlt
     by_first = by_first or _relator_conjugates(ct)
     try:
-        for word in ct.subgroup_cols:
-            ct.scan(0, word, True)
+        # coset 0 stays live, so its merges can wait for the last word
+        subgroup = ct.subgroup_cols
+        k = 0
+        while k < len(subgroup):
+            k = ct.scan(0, subgroup, True, k)
         _process_deductions(ct, by_first)
         p, table = ct.p, ct.table
+        relators = ct.relator_cols
         alpha = 0
         while alpha < len(p):
             if p[alpha] != alpha:
                 alpha += 1
                 continue
             if hlt:
-                for word in ct.relator_cols:
-                    ct.scan(alpha, word, True)
+                k = 0
+                while k < len(relators):
+                    k = ct.scan(alpha, relators, True, k)
                     if ct.deductions:
                         _process_deductions(ct, by_first)
                     if p[alpha] != alpha:

@@ -404,6 +404,27 @@ def test_proving_table_entry_proofs_expand_to_their_entries(text):
     assert expand(lemma.value.proof, p.relators) == lemma.value.word
 
 
+@pytest.mark.parametrize("text", TRIVIAL_GROUPS)
+def test_an_hlt_run_logs_every_fill_definition(text):
+    # HLT's fill scans define a trace's gap as one chain of cosets; with a
+    # log they define one coset at a time, and the log records each
+    p = parse_presentation(text)
+    log = _ProofLog()
+    ct = CosetTable(p, max_cosets=1000, log=log)
+    assert _run(ct, "hlt") and ct.live_count == 1
+    assert len(log.parent) == ct.defined_total
+    assert_entry_proofs(log, p.relators)
+
+
+def test_a_proof_log_needs_the_trivial_subgroup():
+    # the log proves entries from relator factors, and has none for a
+    # subgroup word
+    p = parse_presentation("< a, b | a^2, b^3 >")
+    with pytest.raises(ValueError, match="trivial subgroup"):
+        CosetTable(p, (parse_word("b"),), log=_ProofLog())
+    CosetTable(p, (), log=_ProofLog())
+
+
 def test_a_proof_log_serves_tables_whose_relators_grow():
     # derive_by_collapse reuses one log and appends each lemma; the log
     # refuses a table whose relators do not extend the last table's

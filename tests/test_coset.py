@@ -151,6 +151,82 @@ def test_felsch_stops_in_its_subgroup_scan():
     assert result.status == "LimitExceeded"
 
 
+@pytest.mark.parametrize("text, subgroup, index, first_definitions", [
+    ("< a, b | a^2, b^3, (a b)^2 >", "b a b^-1", 3, [(0, "b")]),
+    ("< a, b | a^2, b^3, (a b)^2 >", "a b a^-1", 2, [(0, "a")]),
+    ("< a, b | a^2, b^3, (a b)^2 >", "a b a b^-1 a^-1", 3,
+     [(0, "a"), (1, "b")]),
+    ("< a, b | a^2, b^3, (a b)^5 >", "b a b a b^-1 a^-1 b^-1", 30,
+     [(0, "b"), (1, "a"), (2, "b")]),
+], ids=["b a b^-1", "a b a^-1", "nested-2", "nested-3"])
+def test_a_conjugate_subgroup_word_fills_through_define(
+        monkeypatch, text, subgroup, index, first_definitions):
+    # at coset 0 a word u v u^-1 has f == b and word[j]^-1 == word[i]: the
+    # first new entry also extends the backward trace, so the fill defines
+    # one coset through define, not a chain that would overwrite it; each
+    # index is |G| / |<w>| for the conjugate w of an element of order 2 or
+    # 3 in S3 (order 6) or A5 (order 60)
+    calls = []
+    define = CosetTable.define
+
+    def spy(ct, alpha, x):
+        calls.append((alpha, ct.gens[x // 2]))
+        return define(ct, alpha, x)
+
+    monkeypatch.setattr(CosetTable, "define", spy)
+    p = parse_presentation(text)
+    w = parse_word(subgroup)
+    results = []
+    for strategy in STRATEGIES:
+        calls.clear()
+        result = enumerate_cosets(p, (w,), strategy=strategy)
+        assert calls[:len(first_definitions)] == first_definitions, strategy
+        assert result.completed and result.index == index, strategy
+        assert result.table.trace_word(0, w) == 0
+        results.append(result.table.table)
+    assert results[0] == results[1]
+
+
+# every run below stops at its limit with cosets_live_max == limit and
+# cosets_defined_total == limit + coincidences; the coincidences so far
+# step up at the limits given, and from the completing limit on, every
+# run completes with the same record
+LIMIT_SWEEP = [
+    ("< a, b | a^2, b^3 >", "hlt", {1: 0}, None),
+    ("< a, b | a^2, b^3 >", "felsch", {1: 0}, None),
+    ("< a, b | a^2, b^3, (a b)^5 >", "hlt",
+     {1: 0, 44: 1, 56: 2, 62: 7, 63: 9, 67: 14}, (68, 60, 82, 68, 22)),
+    ("< a, b | a^2, b^3, (a b)^5 >", "felsch",
+     {1: 0}, (60, 60, 60, 60, 0)),
+]
+
+
+@pytest.mark.parametrize("text, strategy, steps, completion", LIMIT_SWEEP,
+                         ids=["modular-hlt", "modular-felsch",
+                              "triangle-hlt", "triangle-felsch"])
+def test_limit_sweep_counts(text, strategy, steps, completion):
+    # a fill defines a gap as one chain of cosets; at the limit it must
+    # stop after exactly the cosets that fit, as one definition at a time
+    p = parse_presentation(text)
+    for limit in range(1, 301):
+        result = enumerate_cosets(p, (), strategy=strategy, max_cosets=limit)
+        record = result.to_json()
+        del record["elapsed_ms"]
+        if completion is not None and limit >= completion[0]:
+            index, defined, live_max, coincidences = completion[1:]
+            expected = {"status": "Completed", "index": index,
+                        "cosets_defined_total": defined,
+                        "cosets_live_max": live_max,
+                        "coincidences": coincidences}
+        else:
+            coincidences = steps[max(k for k in steps if k <= limit)]
+            expected = {"status": "LimitExceeded", "index": None,
+                        "cosets_defined_total": limit + coincidences,
+                        "cosets_live_max": limit,
+                        "coincidences": coincidences}
+        assert record == dict(expected, strategy=strategy), limit
+
+
 def test_felsch_compacts_during_the_run():
     # a group of order 10,752 over <a>, where a has order 8: half of the
     # cosets defined die, and the run ends with index > 1, so no index-1

@@ -34,6 +34,17 @@ def test_report_time_includes_loading(monkeypatch):
     assert report.steps[0].elapsed_ms >= 20
 
 
+def test_redundancy_loads_its_chains_in_a_step_of_their_own():
+    # parsing the frozen chains takes most of the scenario's set-up; the
+    # "indices" step after it only compares two lists
+    report = verify.run_scenario("redundancy-nine")
+    assert report.status == "pass"
+    load, indices = report.steps[:2]
+    assert (load.name, indices.name) == ("load-derivations", "indices")
+    expected = corpus.load_scenario("redundancy-nine").expected
+    assert load.detail == {"chains": len(expected["certified_indices"])}
+
+
 def test_presentation_scenario_computes_h1_once(monkeypatch):
     calls = []
     homology_h1 = verify.homology_h1
