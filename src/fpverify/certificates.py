@@ -40,9 +40,19 @@ class Factor:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """The work of one `search_certificate` call."""
+
+    states: int     # distinct words reached, the start included
+    peak_heap: int  # most words waiting in the search's heap at once
+
+
+@dataclass(frozen=True)
 class Certificate:
     target: Word
     factors: tuple[Factor, ...]
+    # the work of the search that found it; not part of the witness
+    stats: SearchStats | None = field(default=None, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -171,14 +181,16 @@ def search_certificate(p: Presentation, target: Word,
     rotation of every relator and inverse is available, any subword
     replacement still has a representative move.
 
-    Raises NotFound when the bounds are exhausted; that is inconclusive.
-    Raises ValueError when target uses a generator outside p.
+    The returned certificate's `stats` give the states explored and the
+    peak heap size.  Raises NotFound when the bounds are exhausted; that
+    is inconclusive.  Raises ValueError when target uses a generator
+    outside p.
     """
     p.check_word(target, "target")
     relators = p.relators + tuple(extra_relators)
     if not relators:
         if target.is_identity():
-            return Certificate(target, ())
+            return Certificate(target, (), SearchStats(states=1, peak_heap=1))
         raise NotFound(f"no relators to derive {target}")
     moves = _splice_moves(relators)
     max_len = len(target) + max_length_slack
@@ -189,12 +201,16 @@ def search_certificate(p: Presentation, target: Word,
     best: dict[tuple, int] = {start.letters: 0}
     parents: dict[tuple, tuple] = {}
     heap: list[tuple[int, int, tuple]] = [(len(start), 0, start.letters)]
+    # the heap grows only between pops, so it peaks just before one
+    peak_heap = 0
     while heap:
+        if len(heap) > peak_heap:
+            peak_heap = len(heap)
         length, nfac, letters = heapq.heappop(heap)
         if best.get(letters, 1 << 30) < nfac:
             continue
         if not letters:
-            return _rebuild(target, parents)
+            return _rebuild(target, parents, SearchStats(len(best), peak_heap))
         if nfac >= max_factors:
             continue
         if len(best) > max_states:
@@ -233,7 +249,7 @@ def search_certificate(p: Presentation, target: Word,
                    f"{len(best)} states explored")
 
 
-def _rebuild(target: Word, parents: dict) -> Certificate:
+def _rebuild(target: Word, parents: dict, stats: SearchStats) -> Certificate:
     # walk from identity back to target; each step recorded w' = C * w with
     # C = conj * r^sign * conj^-1, so target = C_1^-1 C_2^-1 ... C_n^-1
     chain = []
@@ -244,7 +260,7 @@ def _rebuild(target: Word, parents: dict) -> Certificate:
         cur = prev
     # steps were recorded identity-outward; the product wants them
     # target-outward
-    return Certificate(target, tuple(reversed(chain)))
+    return Certificate(target, tuple(reversed(chain)), stats)
 
 
 # -- certificate extraction from coset enumeration ---------------------------

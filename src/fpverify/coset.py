@@ -41,12 +41,14 @@ order and defines each missing entry of a row.  After each step it pops
 the table's deduction stack and scans each changed entry (alpha, x) at
 alpha by the cyclic conjugates x u of the relators and their inverses;
 their rotated inverses x^-1 u^-1 at alpha^x would walk the same cycles
-backwards.  A coincidence pushes every entry it moves onto that stack.
+backwards.  A coincidence pushes every entry it moves onto that stack,
+and so does every deduction closed by one of those scans, so Felsch's
+rule runs to exhaustion and a merge's consequences, and theirs, are
+found at once, not when the row pointer reaches the cosets they touch.
 HLT adds relator fill scans: at each row it first scans every relator
-with `fill`, then defines the entries still missing; its stack holds
-only what coincidences move, so a merge's consequences are found at
-once, not when the row pointer reaches the cosets it touched.  Felsch
-also pushes every definition and every deduction a scan closes.
+with `fill`, then defines the entries still missing; neither its fill
+scans nor its definitions push anything.  Felsch also pushes every
+definition and every deduction a fill scan closes.
 
 Index 1.  Every entry of the table and every merge is a valid deduction
 about the cosets of the subgroup H, so once each column's entry at coset
@@ -103,6 +105,8 @@ class EnumerationResult:
     compactions: int = 0
     # live cosets when coset 0's row closed on itself, 0 if it never did
     index_one_live: int = 0
+    # deductions popped off the stack and scanned by the relator cycles
+    deductions: int = 0
 
     @property
     def completed(self) -> bool:
@@ -134,12 +138,13 @@ class CosetTable:
 
     `deductions` is a stack of changed entries (coset, column), drained by
     the enumeration driver after each relator scan and each definition.
-    Every entry a coincidence moves is pushed onto it; definitions and the
-    deductions a scan closes are pushed only while `track_deductions` is
-    set, which the driver does for Felsch.  HLT instead fills each row's
+    Every entry a coincidence moves, and every deduction a scan without
+    `fill` closes, is pushed onto it; definitions and the deductions a
+    fill scan closes are pushed only while `track_deductions` is set,
+    which the driver does for Felsch.  HLT instead fills each row's
     relator scans (`scan` with `fill`) before defining the row's missing
-    entries.  A table with a proof log `log` must have no subgroup
-    words."""
+    entries.  `deductions_scanned` counts the entries the driver pops.  A
+    table with a proof log `log` must have no subgroup words."""
 
     def __init__(self, presentation: Presentation, subgroup_gens=(),
                  max_cosets: int = DEFAULT_MAX_COSETS, log=None):
@@ -173,6 +178,7 @@ class CosetTable:
         self.coincidence_count = 0
         self.compactions = 0
         self.index_one_live = 0
+        self.deductions_scanned = 0
         self.track_deductions = False
         self.deductions: list[tuple[int, int]] = []
         self.complete = False
@@ -289,17 +295,19 @@ class CosetTable:
         Each scan closes its trace by a deduction when exactly one entry
         is missing, or merges cosets when the two ends disagree; it
         returns right after a merge, so the caller can drain the
-        deductions and, while alpha is live, resume.  An incomplete trace
-        is left alone, unless fill is set: then the gap word[i:j] between
-        the forward end f and the backward end b is defined as one chain
-        of new cosets, and word[j] closes the trace as a deduction.  The
-        words are freely reduced, so neither end moves during the chain,
-        except when f == b and word[j]^-1 == word[i]: the first new entry
-        then also extends the backward trace, and that step, like every
-        definition of a table with a proof log, goes through `define`.
-        At the coset limit the chain defines the cosets that fit and
-        raises `_LimitReached`, leaving the table and its counts as that
-        many `define` calls would.
+        deductions and, while alpha is live, resume.  A deduction is
+        pushed onto `deductions` when fill is off or the table tracks
+        deductions.  An incomplete trace is left alone, unless fill is
+        set: then the gap word[i:j] between the forward end f and the
+        backward end b is defined as one chain of new cosets, and word[j]
+        closes the trace as a deduction.  The words are freely reduced,
+        so neither end moves during the chain, except when f == b and
+        word[j]^-1 == word[i]: the first new entry then also extends the
+        backward trace, and that step, like every definition of a table
+        with a proof log, goes through `define`.  At the coset limit the
+        chain defines the cosets that fit and raises `_LimitReached`,
+        leaving the table and its counts as that many `define` calls
+        would.
         """
         table, p, log = self.table, self.p, self.log
         n = len(words)
@@ -357,7 +365,7 @@ class CosetTable:
                     log.entry(f, x, b, log.scan(alpha, word, i, j))
                 table[x][f] = b
                 table[x ^ 1][b] = f
-                if self.track_deductions:
+                if self.track_deductions or not fill:
                     self.deductions.append((f, x))
                 break
         return k
@@ -510,11 +518,14 @@ def _relator_conjugates(ct: CosetTable) -> list[list[list[int]]]:
 def _process_deductions(ct: CosetTable,
                         by_first: list[list[list[int]]]) -> None:
     """Pop the deduction stack to exhaustion, scanning each relator cycle
-    through a changed entry (alpha, x) once: at alpha, from x on."""
+    through a changed entry (alpha, x) once: at alpha, from x on.  The
+    scans push the entries they close, so the stack empties only once
+    Felsch's rule finds nothing more."""
     deductions, p = ct.deductions, ct.p
     scan, rep = ct.scan, ct.rep
     while deductions:
         alpha, x = deductions.pop()
+        ct.deductions_scanned += 1
         alpha = rep(alpha)
         words = by_first[x]
         k = 0
@@ -597,7 +608,7 @@ def enumerate_cosets(p: Presentation, subgroup_gens=(),
         cosets_defined_total=ct.defined_total, cosets_live_max=ct.live_max,
         coincidences=ct.coincidence_count, strategy=strategy,
         elapsed_ms=elapsed, table=ct, compactions=ct.compactions,
-        index_one_live=ct.index_one_live)
+        index_one_live=ct.index_one_live, deductions=ct.deductions_scanned)
 
 
 def verify_trivial(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS,

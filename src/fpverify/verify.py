@@ -138,7 +138,8 @@ def _run_presentation_scenario(s: Scenario, steps: _Steps, convention: str,
             status = "limit"
         steps.record("triviality", status, enumeration=result.to_json(),
                      compactions=result.compactions,
-                     index_one_live=result.index_one_live)
+                     index_one_live=result.index_one_live,
+                     deductions=result.deductions)
         # independent cross-check: a trivial group must have trivial H1
         steps.check("h1-cross-check", h1.is_trivial(), computed=h1.to_json())
 
@@ -183,7 +184,7 @@ def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str,
         def attempt():
             cert = search_certificate(base, target)
             return (verify_certificate(base, cert),
-                    {"factors": len(cert.factors)})
+                    {"factors": len(cert.factors), **asdict(cert.stats)})
         steps.timed("certificate", attempt)
 
 

@@ -25,6 +25,7 @@ from fpverify import (
 )
 from fpverify import certificates
 from fpverify.certificates import (
+    SearchStats,
     _NewTrivialWord,
     _ProofLog,
     certificate_product,
@@ -148,6 +149,20 @@ def test_json_round_trip():
     cert = search_certificate(p, Word.gen("a"))
     again = Certificate.from_json(cert.to_json())
     assert again == cert and verify_certificate(p, again)
+    # the search's counters are not part of the witness
+    assert cert.stats is not None and again.stats is None
+    assert "stats" not in cert.to_json()
+    assert hash(again) == hash(cert)
+
+
+def test_search_stats_count_the_states_and_the_heap():
+    p = parse_presentation("< a | a^2, a^3 >")
+    stats = search_certificate(p, Word.gen("a")).stats
+    assert 1 < stats.states and 1 <= stats.peak_heap <= stats.states
+    # the identity is found at the start, before any splice
+    assert search_certificate(p, Word()).stats == SearchStats(1, 1)
+    assert search_certificate(parse_presentation("< a | >"),
+                              Word()).stats == SearchStats(1, 1)
 
 
 def test_derive_all_with_lemma_layering():

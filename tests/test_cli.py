@@ -228,9 +228,11 @@ def test_triviality_step_reports_compactions(capsys):
     # before its dead cosets call for a compaction
     assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 1)
     # the live cosets when index 1 was proven, under each strategy
-    assert detail["index_one_live"] == 1_377
+    # and the deductions popped and scanned
+    assert (detail["index_one_live"], detail["deductions"]) == (384, 147)
     code, detail = triviality_detail(capsys, "--strategy", "felsch")
-    assert (code, detail["index_one_live"]) == (0, 77)
+    assert (code, detail["index_one_live"], detail["deductions"]) == (
+        0, 77, 1_463)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
     assert "lookahead_passes" not in detail

@@ -339,32 +339,53 @@ def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
 
 
 MOVED_ENTRY_CASES = [
-    # strategy, convention, file, defined, live_max, index_one_live
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 3_333, 3_208, 1_377),
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 24_825, 23_493, 19_503),
-    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 8_344, 7_994, 5_312),
-    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 77),
-    ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp", 17_068, 16_657, 14_784),
-    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_751),
+    # strategy, convention, file, defined, live_max, index_one_live,
+    # deductions
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 1_340, 1_307, 384, 147),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp",
+     15_415, 14_715, 11_401, 1_333),
+    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 7_686, 7_395, 4_223, 1_712),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 77, 1_463),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp",
+     17_068, 16_657, 14_784, 24_524),
+    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_751, 5_180),
 ]
 
 
 @pytest.mark.parametrize(
-    "strategy, convention, filename, defined, live_max, index_one_live",
+    "strategy, convention, filename, defined, live_max, index_one_live, "
+    "deductions",
     MOVED_ENTRY_CASES, ids=["-".join(case[:3]) for case in MOVED_ENTRY_CASES])
 def test_strategies_process_coincidence_moved_entries(
-        strategy, convention, filename, defined, live_max, index_one_live):
-    # processing the entries each coincidence moves as deductions cuts
-    # plain HLT's 17,203 and 32,774 definitions on the default inputs;
-    # the counts pin both strategies' work in their shared driver.  The
-    # run stops once coset 0's row closes, with index_one_live cosets
-    # live, but counts every coset it would have merged after that
+        strategy, convention, filename, defined, live_max, index_one_live,
+        deductions):
+    # processing the entries each coincidence moves as deductions, and
+    # the entries their scans close, cuts plain HLT's 17,203 and 32,774
+    # definitions on the default inputs; the counts pin both strategies'
+    # work in their shared driver.  The run stops once coset 0's row
+    # closes, with index_one_live cosets live, but counts every coset it
+    # would have merged after that
     p = load_corpus_presentation(filename, convention=convention)
     result = enumerate_cosets(p, (), strategy=strategy)
     assert result.completed and result.index == 1
     assert (result.cosets_defined_total, result.cosets_live_max,
             result.coincidences) == (defined, live_max, defined - 1)
     assert result.index_one_live == index_one_live
+    assert result.deductions == deductions
+
+
+def test_a_deduction_scan_pushes_the_entry_it_closes():
+    # Felsch's rule applied to exhaustion: a scan without fill pushes the
+    # entry it closes under both strategies, so its own relator cycles
+    # are scanned in turn; HLT's fill scans push nothing
+    for fill, pushed in ((False, [(2, 0)]), (True, [])):
+        ct = CosetTable(parse_presentation("< a | a^3 >"))
+        assert not ct.track_deductions
+        ct.define(0, 0)
+        ct.define(1, 0)
+        assert ct.scan(0, ct.relator_cols, fill) == 1
+        assert ct.table[0][2] == 0 and ct.table[1][0] == 2
+        assert ct.deductions == pushed
 
 
 def random_relators(rng, gens, count, max_len=8):

@@ -114,3 +114,13 @@ def test_a_failed_derivation_reports_its_error(monkeypatch):
         assert step.status == "fail"
         assert step.detail == {"error": "no chain within the limit"}
     assert report.status == "fail"
+
+
+def test_gap_certificate_steps_report_the_search():
+    # under the GAP convention the certificate is searched afresh, and its
+    # step carries the search's counters
+    report = verify.run_scenario("derive-cx-commute", convention="gap")
+    assert report.status == "pass"
+    step = next(s for s in report.steps if s.name == "certificate")
+    assert step.detail["factors"] >= 1
+    assert 1 <= step.detail["peak_heap"] <= step.detail["states"]
