@@ -16,12 +16,10 @@ search proves nothing.
 from __future__ import annotations
 
 import heapq
-import json
-from bisect import insort
 from dataclasses import dataclass, field
 
-from .coset import CosetTable, _run
-from .presentation import Presentation, _cyclic_class_key
+from .coset import CosetTable, _add_cycles, _run
+from .presentation import Presentation
 from .words import GEN_NAME_RE, Word, _product, _reduced
 
 
@@ -365,38 +363,41 @@ class _ProofLog:
     """Entry, merge and scan proofs for a `CosetTable` enumerating the
     cosets of the trivial subgroup; the table calls it where it changes.
 
-    One log serves a sequence of tables over the same generators whose
-    relators only grow, as `derive_by_collapse` makes them: the factor
-    table and the table's scan lists `by_first` of the relators' cyclic
-    conjugates (and, with novelty, their cyclic class keys) are built
-    once and extended by each new relator.
+    One log serves a sequence of tables over one presentation, as
+    `derive_by_collapse` makes them.  It takes its relators from its
+    first table, and `add_relator` appends each lemma to them: relator k
+    stands for the symbol "@k" in proofs.  It owns the tables' scan lists
+    `cycles` of the relators' cyclic conjugates, built by
+    `coset._add_cycles` as every table's are, and the factor table, which
+    maps each of those conjugates u^-1 r_k^s u, as columns, to the proof
+    u^-1 @k^s u.
 
-    With novelty, a merge whose trivial word W(a)*W(b)^-1 is outside the
-    cyclic classes of the table's relators raises `_NewTrivialWord` before
-    the table records it (collapse-ladder mining; it also keeps the
-    terminal coincidence cascade from ever running).  `longest` is the
-    length of the longest proof expanded so far."""
+    With novelty, a merge whose trivial word W(a)*W(b)^-1 is, once
+    cyclically reduced, not a key of the factor table, and so outside the
+    cyclic classes of the relators, raises `_NewTrivialWord` before the
+    table records it (collapse-ladder mining; it also keeps the terminal
+    coincidence cascade from ever running).  `longest` is the length of
+    the longest proof expanded so far."""
 
     def __init__(self, novelty: bool = False):
-        self.novelty_keys: set | None = set() if novelty else None
-        self.col: dict = {}
-        self.relators: tuple[Word, ...] = ()
+        self.novelty = novelty
+        self.ct = None
+        self.relators: list[Word] = []
         # u^-1 @k^s u for each cyclic conjugate (u^-1 r_k^s u) as columns
         self.factors: dict[tuple[int, ...], _Proof] = {}
         self.longest = 0
 
-    def attach(self, ct) -> None:
-        rels = ct.presentation.relators
-        n = len(self.relators)
-        if n and (ct.col != self.col or rels[:n] != self.relators):
-            raise ValueError("a proof log's next table must extend the "
-                             "relators of its last one")
-        self.ct, self.col = ct, ct.col
-        if not n:
-            self.by_first = [[] for _ in range(ct.ncols)]
-        for k in range(n, len(rels)):
-            self._add_relator(k, rels[k])
-        self.relators = rels
+    def attach(self, ct) -> list[list[list[int]]]:
+        """Serve ct; returns the scan lists it is to use."""
+        if self.ct is None:
+            self.col = ct.col
+            self.cycles = [[] for _ in range(ct.ncols)]
+            for r in ct.presentation.relators:
+                self.add_relator(r)
+        elif ct.presentation != self.ct.presentation:
+            raise ValueError("a proof log serves the tables of one "
+                             "presentation")
+        self.ct = ct
         self.letters = [None] * ct.ncols  # column -> letter
         for letter, x in ct.col.items():
             self.letters[x] = letter
@@ -406,20 +407,19 @@ class _ProofLog:
         self.parent = [0]  # definition tree: coset -> (parent, column)
         self.column = [0]
         self.merged: dict[int, tuple[int, _Proof]] = {}  # dead -> (parent, proof)
+        return self.cycles
 
-    def _add_relator(self, k: int, r: Word) -> None:
-        if self.novelty_keys is not None:
-            self.novelty_keys.add(_cyclic_class_key(r))
-        for sign in (1, -1):
-            base = (r if sign == 1 else r.inverse()).letters
-            cols = [self.col[let] for let in base]
-            for m in range(len(base)):
-                key = tuple(cols[m:] + cols[:m])
-                if key not in self.factors:
-                    u = _reduced(base[:m])
-                    self.factors[key] = _Proof((), word=_reduced(
-                        u.inverse().letters + ((f"@{k}", sign),) + u.letters))
-                    insort(self.by_first[key[0]], list(key), key=len)
+    def add_relator(self, r: Word) -> None:
+        """Append the cyclically reduced relator r, and its new cyclic
+        conjugates to the scan lists and the factor table."""
+        k = len(self.relators)
+        self.relators.append(r)
+        cols = [self.col[let] for let in r.letters]
+        inverse = r.inverse()
+        for cycle, sign, shift in _add_cycles(self.cycles, cols, self.factors):
+            u = _reduced((r if sign == 1 else inverse).letters[:shift])
+            self.factors[tuple(cycle)] = _Proof((), word=_reduced(
+                u.inverse().letters + ((f"@{k}", sign),) + u.letters))
 
     def coset_word(self, c: int) -> Word:
         """W(c), rebuilt by walking the definition tree back to coset 0."""
@@ -515,10 +515,11 @@ class _ProofLog:
         if ra == rb:
             return
         bridge = _concat((ca.inverse(), proof, cb))  # W(ra)*W(rb)^-1
-        if self.novelty_keys is not None:
+        if self.novelty:
             core, conj = (self.coset_word(ra)
                           * self.coset_word(rb).inverse()).cyclic_reduce()
-            if _cyclic_class_key(core) not in self.novelty_keys:
+            if tuple(self.col[let] for let in core.letters) \
+                    not in self.factors:
                 raise _NewTrivialWord(
                     core, conj.inverse() * self.expand(bridge) * conj)
         if rb < ra:
@@ -611,14 +612,15 @@ def derive_by_collapse(p: Presentation, target: Word,
                        max_steps: int = 500) -> Derivation:
     """Derivation of target through the collapse of a trivial group.
 
-    Runs proof-logging Felsch enumerations over the relators plus the
-    lemmas found so far; each enumeration either completes (the group is certified
-    trivial and target is traced through the table) or surfaces one new
-    short trivial word, which joins the lemma list with the certificate
+    Runs proof-logging Felsch enumerations over p's relators plus the
+    lemmas found so far; each enumeration either completes (the group is
+    certified trivial and target is traced through the table) or surfaces
+    one new short trivial word, which becomes a step with the certificate
     the proof log extracted for it, and the enumeration restarts.  One
-    proof log serves every enumeration, so the relator data it derives is
-    built once and extended by each lemma.  The result's `stats` count the
-    work.
+    proof log serves every enumeration over p and owns the lemmas: each
+    joins its relators through `_ProofLog.add_relator`, so the scan lists
+    and relator factors are built once and extended by each lemma.  The
+    result's `stats` count the work.
     Only applicable when the presented group is trivial; raises NotFound
     otherwise or when the bounds are exhausted, and ValueError when target
     uses a generator outside p.
@@ -628,17 +630,16 @@ def derive_by_collapse(p: Presentation, target: Word,
     steps: list[Certificate] = []
     log = _ProofLog(novelty=True)
     enumerations = cosets = 0
-    current = p  # p and the lemmas so far
     while True:
-        ct = CosetTable(current, max_cosets=max_cosets, log=log)
+        ct = CosetTable(p, max_cosets=max_cosets, log=log)
         enumerations += 1
         try:
-            completed = _run(ct, "felsch", log.by_first)
+            completed = _run(ct, "felsch")
         except _NewTrivialWord as lemma:
             if len(steps) >= max_steps:
                 raise NotFound(f"no derivation within {max_steps} lemmas")
             steps.append(Certificate(lemma.word, _proof_to_factors(lemma.proof)))
-            current = current.with_relator(lemma.word)
+            log.add_relator(lemma.word)
             continue
         finally:
             cosets += ct.defined_total
@@ -779,16 +780,3 @@ def check_equivalence(p1: Presentation, p2: Presentation,
         if len(found) != len(targets):
             return False
     return True
-
-
-def save_certificates(path, certs: dict) -> None:
-    data = {str(k): c.to_json() for k, c in certs.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
-
-
-def load_certificates(path) -> dict[int, Certificate]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {int(k): Certificate.from_json(v) for k, v in data.items()}

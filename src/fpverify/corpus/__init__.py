@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from ..certificates import Certificate, Derivation, load_certificates
+from ..certificates import Certificate, Derivation
 from ..presentation import Presentation, parse_presentation
 from ..words import CONVENTION_DEFAULT
 
@@ -40,12 +40,18 @@ class Scenario:
         return load_corpus_presentation(self.files[key], convention=convention)
 
     def certificates(self, key: str = "certificates") -> dict[int, Certificate]:
-        return load_certificates(corpus_path(self.files[key]))
+        return _load_witnesses(self.files[key], Certificate.from_json)
 
     def derivations(self, key: str = "derivations") -> dict[int, Derivation]:
-        with open(corpus_path(self.files[key]), encoding="utf-8") as fh:
-            data = json.load(fh)
-        return {int(k): Derivation.from_json(v) for k, v in data.items()}
+        return _load_witnesses(self.files[key], Derivation.from_json)
+
+
+def _load_witnesses(name: str, from_json) -> dict:
+    """A frozen ``{index: witness}`` file, each witness read by
+    from_json."""
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    return {int(k): from_json(v) for k, v in data.items()}
 
 
 def corpus_path(name: str) -> Path:

@@ -34,7 +34,10 @@ a scan, and each merge and moved entry of a coincidence.  The per-letter
 loops never touch it.  Its proofs are keyed by coset number, so a table
 with a log is never compacted, and they are products of relator factors,
 so a table with a log has no subgroup words.  Its fill scans define
-cosets one at a time through `CosetTable.define`, which logs each.
+cosets one at a time through `CosetTable.define`, which logs each.  The
+log owns the relators of a collapse derivation: the presentation's, then
+each lemma it surfaced.  A table with a log scans the log's relator
+cycles, which `_add_cycles` builds as it builds every table's.
 
 Deductions.  Both strategies run one driver that walks the live rows in
 order and defines each missing entry of a row.  After each step it pops
@@ -66,6 +69,7 @@ since its proofs follow each merge.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
 
 from .presentation import Presentation
@@ -143,8 +147,13 @@ class CosetTable:
     fill scan closes are pushed only while `track_deductions` is set,
     which the driver does for Felsch.  HLT instead fills each row's
     relator scans (`scan` with `fill`) before defining the row's missing
-    entries.  `deductions_scanned` counts the entries the driver pops.  A
-    table with a proof log `log` must have no subgroup words."""
+    entries.  `deductions_scanned` counts the entries the driver pops.
+
+    `cycles[x]` lists the distinct cyclic conjugates of the relators and
+    their inverses that begin with column x, shortest first, as
+    `_add_cycles` builds them; the driver scans a deduction (alpha, x) by
+    `cycles[x]`.  A table with a proof log `log` must have no subgroup
+    words, and scans the log's cycles, which also hold its lemmas."""
 
     def __init__(self, presentation: Presentation, subgroup_gens=(),
                  max_cosets: int = DEFAULT_MAX_COSETS, log=None):
@@ -183,8 +192,14 @@ class CosetTable:
         self.deductions: list[tuple[int, int]] = []
         self.complete = False
         self.log = log
-        if log is not None:
-            log.attach(self)
+        if log is None:
+            self.cycles: list[list[list[int]]] = [[] for _ in range(self.ncols)]
+            known: set[tuple[int, ...]] = set()
+            for word in self.relator_cols:
+                for cycle, _, _ in _add_cycles(self.cycles, word, known):
+                    known.add(tuple(cycle))
+        else:
+            self.cycles = log.attach(self)
 
     def _word_cols(self, w: Word) -> list[int]:
         return [self.col[let] for let in w]
@@ -499,59 +514,64 @@ class CosetTable:
 
 # -- strategy drivers -------------------------------------------------------
 
-def _relator_conjugates(ct: CosetTable) -> list[list[list[int]]]:
-    """For every column x, the distinct cyclic conjugates of each relator
-    and inverse relator that begin with x."""
-    by_first: list[list[list[int]]] = [[] for _ in range(ct.ncols)]
-    seen: set[tuple[int, ...]] = set()
-    for word in ct.relator_cols:
-        for cand in (word, [c ^ 1 for c in reversed(word)]):
-            for k in range(len(cand)):
-                rot = cand[k:] + cand[:k]
-                key = tuple(rot)
-                if key not in seen:
-                    seen.add(key)
-                    by_first[rot[0]].append(rot)
-    return by_first
+def _add_cycles(cycles: list[list[list[int]]], word: list[int], known):
+    """Insert the cyclic conjugates of the cyclically reduced column word
+    and of its inverse into cycles, each into the list of its first column
+    after every cycle no longer than it; returns (cycle, sign, shift) for
+    each, the rotation of word^sign by shift letters.  known holds every
+    cycle already in cycles as a tuple, and the caller adds the new ones
+    to it; a word found there inserts nothing."""
+    # every call inserts a whole class, so word stands for its own
+    if tuple(word) in known:
+        return []
+    # the rotations repeat with the word's period, and none of the word's
+    # is one of its inverse's: no element of a free group other than 1 is
+    # conjugate to its inverse
+    n = len(word)
+    period = next(d for d in range(1, n + 1) if word[d:] + word[:d] == word)
+    new = []
+    for sign, base in ((1, word), (-1, [c ^ 1 for c in reversed(word)])):
+        for shift in range(period):
+            cycle = base[shift:] + base[:shift]
+            insort(cycles[cycle[0]], cycle, key=len)
+            new.append((cycle, sign, shift))
+    return new
 
 
-def _process_deductions(ct: CosetTable,
-                        by_first: list[list[list[int]]]) -> None:
+def _process_deductions(ct: CosetTable) -> None:
     """Pop the deduction stack to exhaustion, scanning each relator cycle
     through a changed entry (alpha, x) once: at alpha, from x on.  The
     scans push the entries they close, so the stack empties only once
     Felsch's rule finds nothing more."""
-    deductions, p = ct.deductions, ct.p
+    deductions, p, cycles = ct.deductions, ct.p, ct.cycles
     scan, rep = ct.scan, ct.rep
     while deductions:
         alpha, x = deductions.pop()
         ct.deductions_scanned += 1
         alpha = rep(alpha)
-        words = by_first[x]
+        words = cycles[x]
         k = 0
         while k < len(words) and p[alpha] == alpha:
             k = scan(alpha, words, False, k)
 
 
-def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
+def _run(ct: CosetTable, strategy: str) -> bool:
     """Fill the table row by row; returns True on completion, False when
     the limit is exceeded.  HLT first scans the relators at each row,
     defining cosets as it goes, in one `scan` call unless a merge
     interrupts it; then both strategies define the row's missing
     entries, draining the deduction stack after each step.  A
     coincidence that closes coset 0's row completes the run at once,
-    with the table replaced by its one-row quotient.
-    `by_first` is `_relator_conjugates(ct)`, when the caller keeps it."""
+    with the table replaced by its one-row quotient."""
     hlt = strategy == "hlt"
     ct.track_deductions = not hlt
-    by_first = by_first or _relator_conjugates(ct)
     try:
         # coset 0 stays live, so its merges can wait for the last word
         subgroup = ct.subgroup_cols
         k = 0
         while k < len(subgroup):
             k = ct.scan(0, subgroup, True, k)
-        _process_deductions(ct, by_first)
+        _process_deductions(ct)
         p, table = ct.p, ct.table
         relators = ct.relator_cols
         alpha = 0
@@ -564,7 +584,7 @@ def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
                 while k < len(relators):
                     k = ct.scan(alpha, relators, True, k)
                     if ct.deductions:
-                        _process_deductions(ct, by_first)
+                        _process_deductions(ct)
                     if p[alpha] != alpha:
                         break
             for x, col in enumerate(table):
@@ -573,7 +593,7 @@ def _run(ct: CosetTable, strategy: str, by_first=None) -> bool:
                 if col[alpha] is None:
                     ct.define(alpha, x)
                     if ct.deductions:
-                        _process_deductions(ct, by_first)
+                        _process_deductions(ct)
             alpha_rep = ct.rep(alpha)
             mapping = ct.maybe_compact()
             if mapping is not None:

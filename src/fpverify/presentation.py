@@ -16,7 +16,9 @@ Relations ``w = v`` are normalized to the relator ``w v^-1``; commutators
 are expanded according to the active convention; relators are stored
 cyclically reduced, with trivial ones dropped.  No word the parser builds
 may exceed ``MAX_WORD_LENGTH`` letters; a power is checked before it is
-expanded, so one short line cannot exhaust memory.
+expanded, so one short line cannot exhaust memory.  Brackets, round and
+square, nest at most ``MAX_NESTING`` deep, so that the recursive descent
+never runs out of stack.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .words import (
 
 # longest word the parser will build (the corpus needs a few dozen letters)
 MAX_WORD_LENGTH = 100_000
+
+# deepest bracket nesting the parser accepts (the corpus nests 2 deep)
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -108,18 +113,6 @@ class Presentation:
     def with_relators(self, relators: Iterable[Word]) -> "Presentation":
         return Presentation(self.generators, relators, name=self.name)
 
-    def with_relator(self, r: Word) -> "Presentation":
-        """This presentation with r appended, as `with_relators` would give
-        it, but reducing and checking r alone."""
-        core = self._relator_core(r)
-        out = object.__new__(Presentation)
-        object.__setattr__(out, "generators", self.generators)
-        object.__setattr__(out, "name", self.name)
-        object.__setattr__(out, "relators",
-                           self.relators if core is None
-                           else self.relators + (core,))
-        return out
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -189,6 +182,7 @@ class _Parser:
     def __init__(self, text: str, convention: str):
         self.toks = _Tokenizer(text)
         self.convention = convention
+        self.depth = 0  # brackets open around the current atom
 
     def parse_presentation(self, name: str = "") -> Presentation:
         self.toks.expect("<")
@@ -274,19 +268,24 @@ class _Parser:
         if kind == "ident":
             self.toks.next()
             return Word.gen(val)
+        if val not in ("[", "("):
+            raise ParseError(
+                f"expected word atom, got {val or 'end of input'!r}", line, col)
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"brackets nested more than {MAX_NESTING} deep", line, col)
+        self.toks.next()
+        self.depth += 1
+        w = self._word()
         if val == "[":
-            self.toks.next()
-            u = self._word()
             self.toks.expect(",")
-            v = self._word()
+            w = self._bounded(commutator(w, self._word(), self.convention),
+                              line, col)
             self.toks.expect("]")
-            return self._bounded(commutator(u, v, self.convention), line, col)
-        if val == "(":
-            self.toks.next()
-            w = self._word()
+        else:
             self.toks.expect(")")
-            return w
-        raise ParseError(f"expected word atom, got {val or 'end of input'!r}", line, col)
+        self.depth -= 1
+        return w
 
 
 def parse_word(text: str, convention: str = CONVENTION_DEFAULT) -> Word:
@@ -350,15 +349,6 @@ def _defining_forms(relator: Word, gen: str) -> Word | None:
     return None
 
 
-def find_defining_relator(p: Presentation, gen: str) -> tuple[int, Word] | None:
-    """First relator (by index) defining gen, and the definition word."""
-    for i, r in enumerate(p.relators):
-        definition = _defining_forms(r, gen)
-        if definition is not None:
-            return i, definition
-    return None
-
-
 def _shortest_defining_relator(p: Presentation, gen: str) -> int | None:
     """Index of the shortest relator defining gen, the first among equals;
     None when no relator defines it."""
@@ -372,23 +362,22 @@ def eliminate_generator(p: Presentation, gen: str,
     """Remove gen using a defining relator gen*w^-1; substitute w elsewhere.
 
     With ``using``, that relator index must define gen and is the one
-    consumed; otherwise the first defining relator is used.
+    consumed; otherwise the shortest defining relator is used, the first
+    among equals.
     """
     if gen not in p.generators:
         raise ValueError(f"{gen!r} is not a generator of {p!r}")
-    if using is not None:
-        definition = _defining_forms(p.relators[using], gen)
-        if definition is None:
-            raise NoDefiningRelator(gen, [p.relators[using]])
-        found = (using, definition)
-    else:
-        found = find_defining_relator(p, gen)
-    if found is None:
-        raise NoDefiningRelator(gen, [r for r in p.relators if gen in r.generators()])
-    idx, definition = found
+    if using is None:
+        using = _shortest_defining_relator(p, gen)
+        if using is None:
+            raise NoDefiningRelator(
+                gen, [r for r in p.relators if gen in r.generators()])
+    definition = _defining_forms(p.relators[using], gen)
+    if definition is None:
+        raise NoDefiningRelator(gen, [p.relators[using]])
     new_rels = [r.substitute(gen, definition)
-                for i, r in enumerate(p.relators) if i != idx]
-    move = EliminateGenerator(gen, definition, idx)
+                for i, r in enumerate(p.relators) if i != using]
+    move = EliminateGenerator(gen, definition, using)
     out = Presentation([g for g in p.generators if g != gen], new_rels, name=p.name)
     return out, move
 

@@ -27,7 +27,6 @@ from .corpus import Scenario, list_scenarios, load_scenario
 from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
 from .presentation import (
     Presentation,
-    _shortest_defining_relator,
     eliminate_generator,
     parse_presentation,
     parse_word,
@@ -153,8 +152,7 @@ def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
     union = Presentation(new.generators, base.relators + new.relators)
     current = union
     for gen in s.expected["eliminate"]:
-        current, _ = eliminate_generator(
-            current, gen, using=_shortest_defining_relator(current, gen))
+        current, _ = eliminate_generator(current, gen)
     steps.check("eliminate",
                 current == frozen_raw,
                 generators=list(current.generators),

@@ -440,15 +440,27 @@ def test_a_proof_log_needs_the_trivial_subgroup():
     CosetTable(p, (), log=_ProofLog())
 
 
-def test_a_proof_log_serves_tables_whose_relators_grow():
-    # derive_by_collapse reuses one log and appends each lemma; the log
-    # refuses a table whose relators do not extend the last table's
+def test_a_proof_log_extends_its_factors_by_add_relator():
+    # derive_by_collapse runs every enumeration over p with one log and
+    # appends each lemma to it; each new cyclic conjugate of a relator or
+    # its inverse gets a factor, and the log refuses a table of another
+    # presentation
     log = _ProofLog(novelty=True)
     p = parse_presentation("< a, b | a b a^-1 b^-2 >")
     CosetTable(p, log=log)
-    CosetTable(p.with_relators(p.relators + (parse_word("a^3"),)), log=log)
-    assert len(log.novelty_keys) == 2
-    with pytest.raises(ValueError, match="extend"):
+    assert len(log.factors) == 10  # five rotations of the relator and its inverse
+    log.add_relator(parse_word("a^3"))
+    assert len(log.factors) == 12
+    log.add_relator(parse_word("b^-2 a b a^-1"))  # a rotation of relator 0
+    assert len(log.factors) == 12 and len(log.relators) == 3
+    for key, factor in log.factors.items():
+        # u^-1 @k^s u expands to the cycle, and k is the relator's index
+        cycle = Word(log.letters[x] for x in key)
+        assert expand(factor.word, log.relators) == cycle
+        symbol = "@1" if cycle.generators() == {"a"} else "@0"
+        assert symbol in factor.word.generators()
+    assert CosetTable(p, log=log).cycles is log.cycles
+    with pytest.raises(ValueError, match="one presentation"):
         CosetTable(parse_presentation("< a, b | a^2 >"), log=log)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fpverify.cli import main
 from fpverify.corpus import corpus_path
-from fpverify.presentation import MAX_WORD_LENGTH
+from fpverify.presentation import MAX_NESTING, MAX_WORD_LENGTH
 
 from conftest import schema
 
@@ -131,6 +131,26 @@ def test_simplify_budget_zero_is_allowed(tmp_path, capsys):
     grp.write_text("< a, b | a b^-1, b^3 >")
     code, out, _ = run(capsys, "simplify", "--budget", "0", str(grp))
     assert code == 0 and out.strip() == "< a, b | a b^-1, b^3 >"
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "{deep}"),
+    ("tc", "{grp}", "--subgroup", "{word}"),
+    ("certify", "{grp}", "--target", "{word}"),
+], ids=["parse", "tc-subgroup", "certify-target"])
+def test_deep_nesting_exits_2_without_a_traceback(tmp_path, argv):
+    word = "(" * 330 + "a" + ")" * 330
+    deep, grp = tmp_path / "deep.grp", tmp_path / "z3.grp"
+    deep.write_text(f"< a | {word} >")
+    grp.write_text("< a | a^3 >")
+    argv = [a.format(deep=deep, grp=grp, word=word) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "fpverify.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    col = MAX_NESTING + (7 if argv[0] == "parse" else 1)
+    assert f"1:{col}: brackets nested more than {MAX_NESTING} deep" \
+        in proc.stderr
 
 
 def test_tc_subgroup(tmp_path, capsys):

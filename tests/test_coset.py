@@ -20,7 +20,6 @@ from fpverify.coset import (
     _COLUMN_BLOCK,
     STRATEGIES,
     CosetTable,
-    _relator_conjugates,
     _run,
 )
 
@@ -418,34 +417,46 @@ def test_one_scan_per_deduction_covers_both_directions():
         presentations.append(Presentation(
             gens, random_relators(rng, gens, rng.randint(1, 4))))
     for p in presentations:
-        by_first = _relator_conjugates(CosetTable(p))
-        for x, words in enumerate(by_first):
+        ct = CosetTable(p)
+        cycles = ct.cycles
+        every = {tuple(base[k:] + base[:k])
+                 for r in ct.relator_cols
+                 for base in (r, [c ^ 1 for c in reversed(r)])
+                 for k in range(len(r))}
+        assert {tuple(w) for words in cycles for w in words} == every, p
+        for x, words in enumerate(cycles):
             keys = [tuple(w) for w in words]
             assert len(set(keys)) == len(keys), (p, x)
+            assert [len(w) for w in words] == sorted(map(len, words)), (p, x)
             rotated_inverses = {(x ^ 1, *(c ^ 1 for c in reversed(w[1:])))
                                 for w in words}
-            assert set(map(tuple, by_first[x ^ 1])) == rotated_inverses, (p, x)
+            assert set(map(tuple, cycles[x ^ 1])) == rotated_inverses, (p, x)
 
 
-def test_a_proof_log_extends_the_scan_lists_in_the_tables_order():
-    # relators grow one lemma at a time, as in a collapse derivation; a
+def test_a_logged_table_scans_the_cycles_of_its_relators_and_lemmas():
+    # lemmas join the log one at a time, as in a collapse derivation; a
     # lemma may be shorter than earlier relators, or a rotation of one or
-    # of its inverse
+    # of its inverse, and every table over p scans the cycles a fresh
+    # table over p and the lemmas so far would
     rng = random.Random(15)
     for _ in range(40):
         gens = "abc"[:rng.choice((2, 3))]
-        rels = random_relators(rng, gens, rng.randint(1, 3))
+        p = Presentation(gens, random_relators(rng, gens, rng.randint(1, 3)))
+        rels = list(p.relators)
         log = _ProofLog()
         for _ in range(6):
-            ct = CosetTable(Presentation(gens, rels), log=log)
-            assert log.by_first == _relator_conjugates(ct), rels
+            ct = CosetTable(p, log=log)
+            assert ct.cycles is log.cycles
+            assert ct.cycles == CosetTable(Presentation(gens, rels)).cycles, rels
             if rng.random() < 0.3:
                 r = rng.choice(rels)
                 r = r if rng.random() < 0.5 else r.inverse()
                 k = rng.randrange(len(r))
-                rels.append(Word(r.letters[k:] + r.letters[:k]))
+                lemma = Word(r.letters[k:] + r.letters[:k])
             else:
-                rels += random_relators(rng, gens, 1, max_len=12)
+                lemma = random_relators(rng, gens, 1, max_len=12)[0]
+            log.add_relator(lemma)
+            rels.append(lemma)
 
 
 def test_strategies_at_tight_limits_on_random_presentations():

@@ -18,7 +18,7 @@ from fpverify import (
     simplify,
 )
 from fpverify.corpus import list_scenarios, load_corpus_presentation
-from fpverify.presentation import MAX_WORD_LENGTH, dedupe_relators
+from fpverify.presentation import MAX_NESTING, MAX_WORD_LENGTH, dedupe_relators
 
 
 def test_parse_trivial_group():
@@ -89,24 +89,30 @@ def test_word_length_bound():
         assert str(MAX_WORD_LENGTH) in str(exc.value)
 
 
+def test_nesting_bound():
+    # the recursive descent goes three calls deeper per bracket; past the
+    # bound, the bracket that opens one level too many is reported
+    n = MAX_NESTING
+    for opening, closing in (("(", ")"), ("[1, ", "]")):
+        parse_word(opening * n + "a" + closing * n)
+        for depth in (n + 1, 330):
+            word = opening * depth + "a" + closing * depth
+            for parse, text, line, col in (
+                    (parse_word, word, 1, 1 + n * len(opening)),
+                    (parse_presentation, f"< a |\n {word} >", 2,
+                     2 + n * len(opening))):
+                with pytest.raises(ParseError) as exc:
+                    parse(text)
+                assert (exc.value.line, exc.value.column) == (line, col)
+                assert f"nested more than {n} deep" in str(exc.value)
+
+
 def test_trivial_relator_dropped():
     # a relator that freely reduces to the identity is dropped on construction
     p = Presentation(["a"], [Word([("a", 1), ("a", -1)]), Word.gen("a")])
     assert p.relators == (Word.gen("a"),)
     p = parse_presentation("< a | 1, a >")
     assert p.relators == (Word.gen("a"),)
-
-
-def test_with_relator_matches_with_relators():
-    p = parse_presentation("< a, b | a^2, b^3 >")
-    for text in ("(a b)^2", "b a b a^-1 b^-1", "b^-1 a^2 b"):
-        r = parse_word(text)
-        extended = p.with_relator(r)
-        assert extended == p.with_relators(p.relators + (r,))
-        assert extended.relators[:2] == p.relators
-    assert p.with_relator(parse_word("1")) == p
-    with pytest.raises(ValueError, match="unknown generators"):
-        p.with_relator(parse_word("c"))
 
 
 def test_round_trip_corpus():
@@ -140,6 +146,15 @@ def test_eliminate_no_defining_relator():
     with pytest.raises(NoDefiningRelator) as exc:
         eliminate_generator(p, "a")
     assert exc.value.candidates  # reports the relators containing a
+
+
+def test_eliminate_uses_the_shortest_defining_relator():
+    # relators 1 and 2 both define a in two letters, relator 0 in five
+    p = parse_presentation("< a, b, c | a b c b^-1 c^-1, a c^-1, a b^-1 >")
+    out, move = eliminate_generator(p, "a")
+    assert (move.defining_relator_index, move.definition) == (1, Word.gen("c"))
+    # c b c b^-1 c^-1 is stored cyclically reduced
+    assert out.relators == (Word.gen("c"), parse_word("c b^-1"))
 
 
 def test_eliminate_with_chosen_relator():

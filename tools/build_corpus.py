@@ -41,7 +41,6 @@ from fpverify import (  # noqa: E402
     eliminate_generator, list_scenarios, parse_presentation, parse_word,
     search_certificate, verify_certificate, verify_derivation)
 from fpverify.corpus import MANIFEST, REGISTRY, corpus_path  # noqa: E402
-from fpverify.presentation import _shortest_defining_relator  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "corpus"
 
@@ -93,8 +92,7 @@ def build_elimination(s: Scenario) -> None:
     massaged = s.presentation("massaged")
     raw = Presentation(new.generators, base.relators + new.relators)
     for gen in s.expected["eliminate"]:
-        raw, move = eliminate_generator(
-            raw, gen, using=_shortest_defining_relator(raw, gen))
+        raw, move = eliminate_generator(raw, gen)
         print(f"eliminated {gen} via definition {move.definition}")
     name = s.files["eliminated"]
     stems = (Path(s.files[key]).stem for key in ("base", "new"))
