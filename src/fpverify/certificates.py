@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .coset import CosetTable, _add_cycles, _run
 from .presentation import Presentation
-from .words import GEN_NAME_RE, Word, _product, _reduced
+from .words import _IDENTITY, GEN_NAME_RE, Word, _product, _reduced
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,94 @@ class Certificate:
     @staticmethod
     def from_json(data: dict) -> "Certificate":
         """Load a certificate, checking JSON types as the certificate schema
-        does (a JSON bool is not an integer); raises ValueError."""
-        return Certificate(_word_from_json(data["target"]),
-                           tuple(_factor_from_json(f) for f in data["factors"]))
+        does (a JSON bool is not an integer); raises ValueError naming the
+        field on any malformed document."""
+        return _certificate_from_json(data, {})
 
 
-def _factor_from_json(f: dict) -> Factor:
-    relator, sign = f["relator"], f["sign"]
-    if type(relator) is not int or relator < 0:
-        raise ValueError(f"relator must be an integer >= 0, got {relator!r}")
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-    return Factor(_word_from_json(f["conjugator"]), relator, sign)
+def _fields(data, what: str, get):
+    """get(data) for an itemgetter get; ValueError unless data is a JSON
+    object holding every key get reads."""
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    try:
+        return get(data)
+    except KeyError as e:
+        raise ValueError(f"{what} has no {e.args[0]!r} field") from None
 
 
-def _word_from_json(pairs: list) -> Word:
-    letters = []
+def _list(data, what: str) -> list:
+    if type(data) is not list:
+        raise ValueError(f"{what} must be a list, got {type(data).__name__}")
+    return data
+
+
+_CERTIFICATE_FIELDS = itemgetter("target", "factors")
+_FACTOR_FIELDS = itemgetter("conjugator", "relator", "sign")
+_DERIVATION_FIELDS = itemgetter("target", "steps")
+
+
+def _certificate_from_json(data, names: dict) -> Certificate:
+    """A certificate read from JSON data; names is `_word_from_json`'s map
+    of the generator names already checked in the document."""
+    target, factors = _fields(data, "certificate", _CERTIFICATE_FIELDS)
+    target = _word_from_json(target, names, "target")
+    out = []
+    for i, f in enumerate(_list(factors, "factors")):
+        try:
+            conjugator, relator, sign = _fields(f, "factor", _FACTOR_FIELDS)
+            if type(relator) is not int or relator < 0:
+                raise ValueError(f"relator must be an integer >= 0, "
+                                 f"got {relator!r}")
+            if type(sign) is not int or sign not in (1, -1):
+                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+            out.append(Factor(_word_from_json(conjugator, names, "conjugator"),
+                              relator, sign))
+        except ValueError as e:
+            raise ValueError(f"factors[{i}]: {e}") from None
+    return Certificate(target, tuple(out))
+
+
+def _word_from_json(pairs, names: dict, what: str = "word") -> Word:
+    """A JSON word checked and freely reduced in one pass over its letters.
+
+    Each letter must be a 2-element list of a generator name and an
+    exponent 1 or -1 (a JSON bool is not an integer).  names maps every
+    generator name already checked, in this call or earlier ones on the
+    same document, to its two letters: a name is matched against
+    GEN_NAME_RE once, the letters of a document are shared tuples, and
+    the reduction cancels a letter against the stack's top by identity."""
+    if type(pairs) is not list:
+        raise ValueError(f"{what} must be a list, got {type(pairs).__name__}")
+    if not pairs:
+        return _IDENTITY
+    stack: list = []
+    push, pop = stack.append, stack.pop
     for pair in pairs:
-        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is str
-                and type(pair[1]) is int and GEN_NAME_RE.match(pair[0])):
-            raise ValueError(f"word letter must be [name, 1 or -1], got {pair!r}")
-        letters.append((pair[0], pair[1]))
-    return Word(letters)  # rejects exponents other than +-1
+        if type(pair) is not list or len(pair) != 2:
+            raise _bad_letter(what, pair)
+        name, exp = pair
+        if type(exp) is not int or (exp != 1 and exp != -1):
+            raise _bad_letter(what, pair)
+        try:
+            pos, neg = names[name]
+        except (KeyError, TypeError):  # unseen, or not even hashable
+            if type(name) is not str or not GEN_NAME_RE.match(name):
+                raise _bad_letter(what, pair) from None
+            pos, neg = names[name] = ((name, 1), (name, -1))
+        if exp == 1:
+            letter, inverse = pos, neg
+        else:
+            letter, inverse = neg, pos
+        if stack and stack[-1] is inverse:
+            pop()
+        else:
+            push(letter)
+    return _reduced(tuple(stack))
+
+
+def _bad_letter(what: str, pair) -> ValueError:
+    return ValueError(f"{what} letter must be [name, 1 or -1], got {pair!r}")
 
 
 class NotFound(Exception):
@@ -91,21 +158,32 @@ class NotFound(Exception):
 
 def certificate_product(relators: tuple[Word, ...], cert: Certificate) -> Word:
     """The product of the certificate's conjugated relators, freely reduced
-    in one stack pass over all factors."""
-    return _product(_factor_words(relators, cert.factors))
-
-
-def _factor_words(relators: tuple[Word, ...], factors):
-    """u, r^sign, u^-1 for each factor in turn."""
-    for f in factors:
-        if not 0 <= f.relator_index < len(relators):
-            raise IndexError(f"relator index {f.relator_index} out of range")
-        if f.sign not in (1, -1):
-            raise ValueError(f"factor sign must be +-1, got {f.sign}")
-        r = relators[f.relator_index]
-        yield f.conjugator
-        yield r if f.sign == 1 else r.inverse()
-        yield f.conjugator.inverse()
+    in one stack pass over their letters: u, then r or its inverse, then
+    u^-1 for each factor.  Each relator's inverse is computed at most once
+    per call, and no Word is built per factor."""
+    n = len(relators)
+    inverses: dict[int, tuple] = {}
+    seqs: list = []
+    push = seqs.append
+    for f in cert.factors:
+        k, sign, u = f.relator_index, f.sign, f.conjugator.letters
+        if not 0 <= k < n:
+            raise IndexError(f"relator index {k} out of range")
+        if sign == 1:
+            r = relators[k].letters
+        elif sign == -1:
+            r = inverses.get(k)
+            if r is None:
+                r = inverses[k] = relators[k].inverse().letters
+        else:
+            raise ValueError(f"factor sign must be +-1, got {sign}")
+        if u:
+            push(u)
+            push(r)
+            push([(g, -e) for g, e in reversed(u)])
+        else:
+            push(r)
+    return _product(seqs)
 
 
 def verify_certificate(p: Presentation, cert: Certificate) -> bool:
@@ -453,9 +531,9 @@ class _ProofLog:
                     stack.extend(pending)
                     continue
                 node.word = _product(
-                    q.word if type(q) is _Proof
-                    else self.coset_word(q) if q >= 0
-                    else self.coset_word(~q).inverse()
+                    q.word.letters if type(q) is _Proof
+                    else self.coset_word(q).letters if q >= 0
+                    else self.coset_word(~q).inverse().letters
                     for q in node.parts)
             stack.pop()
             if len(node.word) > self.longest:
@@ -548,7 +626,7 @@ class _ProofLog:
             a = self.ct.table[x][a]
         if a != 0:
             raise NotFound(f"{w} does not return to the base coset")
-        return _product([self.expand(q) for q in parts])
+        return _product([self.expand(q).letters for q in parts])
 
 
 @dataclass(frozen=True)
@@ -587,10 +665,18 @@ class Derivation:
 
     @staticmethod
     def from_json(data: dict) -> "Derivation":
-        """Load a derivation; raises ValueError on a mistyped field."""
-        return Derivation(
-            _word_from_json(data["target"]),
-            tuple(Certificate.from_json(s) for s in data["steps"]))
+        """Load a derivation; raises ValueError naming the field on any
+        malformed document."""
+        names: dict = {}
+        target, steps = _fields(data, "derivation", _DERIVATION_FIELDS)
+        target = _word_from_json(target, names, "target")
+        out = []
+        for i, step in enumerate(_list(steps, "steps")):
+            try:
+                out.append(_certificate_from_json(step, names))
+            except ValueError as e:
+                raise ValueError(f"steps[{i}]: {e}") from None
+        return Derivation(target, tuple(out))
 
 
 def verify_derivation(p: Presentation, d: Derivation) -> bool:

@@ -48,10 +48,20 @@ class Scenario:
 
 def _load_witnesses(name: str, from_json) -> dict:
     """A frozen ``{index: witness}`` file, each witness read by
-    from_json."""
+    from_json; raises ValueError naming the file, and the key, on a
+    malformed one."""
     with open(corpus_path(name), encoding="utf-8") as fh:
         data = json.load(fh)
-    return {int(k): from_json(v) for k, v in data.items()}
+    if type(data) is not dict:
+        raise ValueError(f"{name}: must be an object keyed by relator index, "
+                         f"got {type(data).__name__}")
+    out = {}
+    for k, v in data.items():
+        try:
+            out[int(k)] = from_json(v)
+        except ValueError as e:
+            raise ValueError(f"{name}[{k!r}]: {e}") from None
+    return out
 
 
 def corpus_path(name: str) -> Path:

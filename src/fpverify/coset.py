@@ -18,6 +18,18 @@ blocks, and the coset count is the length of the union-find array `p`,
 not of a column.  Coincidences are handled by that union-find array,
 processed to exhaustion before any new coset is defined.
 
+`CosetTable.coincidence` runs the cascade in one loop over the queue of
+dead cosets, for tables with and without a proof log.  It makes no
+method call per moved entry: the union-find find (a fast path when a
+coset's parent is already a root, else a walk with path compression) and
+the merge each moved entry forces are written out in the loop, and the
+log, when there is one, is called where the table changes.  The loop
+counts its merges in a local and adds them to `live_count` and
+`coincidence_count` in a `finally`, so a cascade ended early, by the
+index-1 stop or by a proof log's lemma, leaves the counts right.  Path
+compression never changes a representative, so the tables and counts
+are those of a find without it.
+
 `CosetTable.scan` is the one two-sided trace of words at a coset.  It
 takes a list of words and scans them in turn, so a row's relators, the
 subgroup words and a deduction's relator cycles cost one call each, and
@@ -245,62 +257,97 @@ class CosetTable:
             self.log.define(alpha, x, beta)
         return beta
 
-    def _merge(self, k: int, l: int, queue: list[int], proof=None) -> None:
-        """Merge the classes of k and l; proof (with a log) shows
-        W(k)*W(l)^-1."""
-        if self.log is not None:
-            self.log.merge(k, l, proof)
-        k = self.rep(k)
-        l = self.rep(l)
-        if k == l:
-            return
-        lo, hi = (k, l) if k < l else (l, k)
-        self.p[hi] = lo
-        self.live_count -= 1
-        self.coincidence_count += 1
-        queue.append(hi)
-
     def coincidence(self, alpha: int, beta: int, proof=None) -> None:
-        """Merge alpha and beta and process the dead cosets to exhaustion.
+        """Merge alpha and beta and process the dead cosets to exhaustion;
+        proof (with a log) shows W(alpha)*W(beta)^-1.  The log's `merge`
+        sees each merge before `p` records it, and may end the cascade by
+        raising; the counts stay right (see the module docstring).
 
         Without a proof log, each processed dead coset whose class is now
         coset 0's is followed by a look at coset 0's row: when every entry
         there is defined and lies in coset 0's class, the index is 1 and
         `_IndexOne` ends the cascade (see `_close_index_one`)."""
-        queue: list[int] = []
-        self._merge(alpha, beta, queue, proof)
-        qi = 0
-        table = self.table
+        p, log, table, deductions = self.p, self.log, self.table, self.deductions
         columns = [(x, table[x], table[x ^ 1]) for x in range(self.ncols)]
-        rep = self.rep
-        deductions = self.deductions
-        log = self.log
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            for x, col, inv in columns:
-                delta = col[gamma]
-                if delta is None:
-                    continue
-                inv[delta] = None
-                mu = rep(gamma)
-                nu = rep(delta)
-                if log is not None:
-                    moved = log.moved(gamma, x, delta)
-                if col[mu] is not None:
-                    self._merge(nu, col[mu], queue,
-                                None if log is None else log.forced(moved, mu, x))
-                elif inv[nu] is not None:
-                    self._merge(mu, inv[nu], queue, None if log is None
-                                else log.forced(moved.inverse(), nu, x ^ 1))
-                else:
-                    col[mu] = nu
-                    inv[nu] = mu
+        if log is not None:
+            log.merge(alpha, beta, proof)
+        alpha, beta = self.rep(alpha), self.rep(beta)
+        if alpha == beta:
+            return
+        if beta < alpha:
+            alpha, beta = beta, alpha
+        p[beta] = alpha
+        merges = 1
+        queue = [beta]
+        try:
+            # the loop visits the dead cosets the merges append
+            for gamma in queue:
+                for x, col, inv in columns:
+                    delta = col[gamma]
+                    if delta is None:
+                        continue
+                    inv[delta] = None
+                    # mu and nu are the roots of gamma and delta; a path
+                    # longer than one step is compressed, as `rep` does
+                    mu = p[gamma]
+                    if p[mu] != mu:
+                        while p[mu] != mu:
+                            mu = p[mu]
+                        c = gamma
+                        while p[c] != mu:
+                            p[c], c = mu, p[c]
+                    nu = p[delta]
+                    if p[nu] != nu:
+                        while p[nu] != nu:
+                            nu = p[nu]
+                        c = delta
+                        while p[c] != nu:
+                            p[c], c = nu, p[c]
                     if log is not None:
-                        log.entry(mu, x, nu, moved)
-                    deductions.append((mu, x))
-            if log is None and rep(gamma) == 0 and self._row_zero_closed():
-                raise _IndexOne
+                        moved = log.moved(gamma, x, delta)
+                    # the entry (mu, x) = nu either lands or forces the
+                    # merge of the root hi with the class of lo
+                    lo = col[mu]
+                    if lo is not None:
+                        hi = nu
+                        if log is not None:
+                            log.merge(nu, lo, log.forced(moved, mu, x))
+                    else:
+                        lo = inv[nu]
+                        if lo is None:
+                            col[mu] = nu
+                            inv[nu] = mu
+                            if log is not None:
+                                log.entry(mu, x, nu, moved)
+                            deductions.append((mu, x))
+                            continue
+                        hi = mu
+                        if log is not None:
+                            log.merge(mu, lo, log.forced(moved.inverse(), nu,
+                                                         x ^ 1))
+                    r = p[lo]
+                    if p[r] != r:
+                        while p[r] != r:
+                            r = p[r]
+                        while p[lo] != r:
+                            p[lo], lo = r, p[lo]
+                    if r == hi:
+                        continue
+                    if r < hi:
+                        p[hi] = r
+                    else:
+                        p[r], hi = hi, r
+                    merges += 1
+                    queue.append(hi)
+                if log is None:
+                    r = p[gamma]
+                    while p[r] != r:
+                        r = p[r]
+                    if r == 0 and self._row_zero_closed():
+                        raise _IndexOne
+        finally:
+            self.live_count -= merges
+            self.coincidence_count += merges
 
     def scan(self, alpha: int, words: list[list[int]], fill: bool = False,
              k: int = 0) -> int:
@@ -520,7 +567,9 @@ def _add_cycles(cycles: list[list[list[int]]], word: list[int], known):
     after every cycle no longer than it; returns (cycle, sign, shift) for
     each, the rotation of word^sign by shift letters.  known holds every
     cycle already in cycles as a tuple, and the caller adds the new ones
-    to it; a word found there inserts nothing."""
+    to it; a word found there inserts nothing.  A cycle no shorter than
+    its list's last one is appended, as `insort` would place it, so words
+    passed shortest first are never bisected."""
     # every call inserts a whole class, so word stands for its own
     if tuple(word) in known:
         return []
@@ -533,7 +582,11 @@ def _add_cycles(cycles: list[list[list[int]]], word: list[int], known):
     for sign, base in ((1, word), (-1, [c ^ 1 for c in reversed(word)])):
         for shift in range(period):
             cycle = base[shift:] + base[:shift]
-            insort(cycles[cycle[0]], cycle, key=len)
+            column = cycles[cycle[0]]
+            if not column or len(column[-1]) <= n:
+                column.append(cycle)
+            else:
+                insort(column, cycle, key=len)
             new.append((cycle, sign, shift))
     return new
 

@@ -11,13 +11,15 @@ the invariant that every ``Word`` is already reduced: in a product ``u * v``
 only the seam between u's tail and v's head can cancel, so ``*``,
 ``inverse`` and ``conjugated_by`` cancel at the seam (or not at all) and
 wrap the result without another pass over its letters.  ``_product`` does
-the same for a whole sequence of words in one stack pass.
+the same for a whole sequence of reduced letter tuples in one stack pass;
+it takes letters, not words, so a caller can feed it the inverse of a
+word, or a relator, without wrapping either in a ``Word``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 GEN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -200,21 +202,20 @@ def _reduced(letters: tuple[Letter, ...]) -> Word:
     return w
 
 
-def _product(words: Iterable[Word]) -> Word:
-    """Free reduction of the product of reduced words, in one stack pass:
-    each word cancels against the stack only at its head, and the rest of
-    it is pushed whole."""
+def _product(seqs: Iterable[Sequence[Letter]]) -> Word:
+    """Free reduction of the product of freely reduced letter sequences, in
+    one stack pass: each sequence cancels against the stack only at its
+    head, and the rest of it is pushed whole."""
     stack: list[Letter] = []
     pop = stack.pop
-    for w in words:
-        b = w.letters
+    for b in seqs:
         j = 0
         n = len(b)
         while stack and j < n and stack[-1][0] == b[j][0] \
                 and stack[-1][1] == -b[j][1]:
             pop()
             j += 1
-        stack.extend(b[j:])
+        stack.extend(b[j:] if j else b)
     return _reduced(tuple(stack))
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 from fpverify import (
     Certificate,
@@ -28,12 +29,14 @@ from fpverify.certificates import (
     SearchStats,
     _NewTrivialWord,
     _ProofLog,
+    _word_from_json,
     certificate_product,
     conjugated_certificate,
     inverted_certificate,
 )
 from fpverify.corpus import load_scenario
 from fpverify.coset import CosetTable, _run
+from fpverify.words import _product
 
 from conftest import random_word, schema
 
@@ -529,3 +532,245 @@ def test_from_json_rejects_integral_floats(path):
     bad = _set(good, path, float(_get(good, path)))
     with pytest.raises(ValueError):
         Certificate.from_json(bad)
+
+
+# every shape of malformed document, and the field its ValueError names
+MALFORMED_CERTIFICATES = [
+    ([], "certificate must be an object"),
+    ({"target": 5, "factors": []}, "target must be a list"),
+    ({"target": [], "factors": None}, "factors must be a list"),
+    ({"target": [], "factors": [5]}, r"factors\[0\]: factor must be an object"),
+    ({"factors": []}, "certificate has no 'target' field"),
+    ({"target": []}, "certificate has no 'factors' field"),
+    ({"target": [], "factors": [{"relator": 0, "sign": 1}]},
+     r"factors\[0\]: factor has no 'conjugator' field"),
+    ({"target": [], "factors": [{"conjugator": [], "sign": 1}]},
+     r"factors\[0\]: factor has no 'relator' field"),
+    ({"target": [], "factors": [{"conjugator": [], "relator": 0}]},
+     r"factors\[0\]: factor has no 'sign' field"),
+    ({"target": [], "factors": [{"conjugator": 5, "relator": 0, "sign": 1}]},
+     r"factors\[0\]: conjugator must be a list"),
+    ({"target": [5], "factors": []}, "target letter must be"),
+    ({"target": [[["a"], 1]], "factors": []}, "target letter must be"),
+]
+
+MALFORMED_DERIVATIONS = [
+    ([], "derivation must be an object"),
+    ({"target": 5, "steps": []}, "target must be a list"),
+    ({"target": [], "steps": "x"}, "steps must be a list"),
+    ({"steps": []}, "derivation has no 'target' field"),
+    ({"target": []}, "derivation has no 'steps' field"),
+]
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED_CERTIFICATES,
+                         ids=[f for _, f in MALFORMED_CERTIFICATES])
+def test_a_malformed_certificate_is_a_value_error_naming_its_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        Certificate.from_json(doc)
+    good = _sample_certificate()
+    with pytest.raises(ValueError, match=r"steps\[1\]: " + field):
+        Derivation.from_json({"target": [], "steps": [good, doc]})
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED_DERIVATIONS,
+                         ids=[f for _, f in MALFORMED_DERIVATIONS])
+def test_a_malformed_derivation_is_a_value_error_naming_its_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        Derivation.from_json(doc)
+
+
+# -- witness kernels ---------------------------------------------------------
+
+json_letters = st.lists(st.tuples(st.sampled_from(("a", "b", "c_1", "Z")),
+                                  st.sampled_from((1, -1))), max_size=40)
+
+
+@given(json_letters, json_letters)
+def test_word_from_json_reduces_as_word_does(first, second):
+    # unreduced input included; a second word of the same document reads
+    # the names the first one checked
+    names = {}
+    for letters in (first, second, first + second):
+        w = _word_from_json([[g, e] for g, e in letters], names)
+        assert w == Word(letters)
+        assert Word(w.letters) == w  # nothing left to cancel
+
+
+# names and exponents the schema accepts or rejects, and letters of the
+# wrong shape; no integral floats, which JSON Schema lets stand for
+# integers (see test_from_json_rejects_integral_floats)
+LETTER_NAMES = ("a", "x_2", "1b", "", "a-b", "ab ", 7, None, True, ["a"])
+LETTER_EXPONENTS = (1, -1, 0, 2, True, False, "1", None)
+MISSHAPEN_LETTERS = (["a"], ["a", 1, 1], ("a", 1), "a", 5, None)
+
+
+def test_word_from_json_rejects_exactly_what_the_schema_rejects():
+    accepted = 0
+    for letter in ([[g, e] for g in LETTER_NAMES for e in LETTER_EXPONENTS]
+                   + list(MISSHAPEN_LETTERS)):
+        # alone, and between valid letters whose names are already checked
+        for word in ([letter], [["a", 1], letter, ["a", -1], ["b", 1]]):
+            try:
+                jsonschema.validate({"target": word, "factors": []},
+                                    schema("certificate"))
+            except jsonschema.ValidationError:
+                for names in ({}, {"a": (("a", 1), ("a", -1))}):
+                    with pytest.raises(ValueError):
+                        _word_from_json(word, names)
+            else:
+                assert _word_from_json(word, {}) == Word(map(tuple, word))
+                accepted += 1
+    # a and x_2 to the power 1 and -1, in both places
+    assert accepted == 8
+
+
+def test_word_from_json_rejects_the_mistyped_letters():
+    # each MISTYPED value inside a word, read through the word's own
+    # loader, also after the good names are checked
+    good = _sample_certificate()
+    for path, value in MISTYPED:
+        key = "target" if "target" in path else "conjugator"
+        if key not in path:
+            continue
+        word_path = path[:path.index(key) + 1]
+        bad = _get(_set(good, path, value), word_path)
+        with pytest.raises(ValueError):
+            _word_from_json(bad, {})
+        names = {}
+        _word_from_json(_get(good, word_path), names)
+        with pytest.raises(ValueError):
+            _word_from_json(bad, names)
+
+
+def word_level_product(relators, factors) -> Word:
+    """The product certificate_product computes, by the Word-level
+    _product of u, r^sign, u^-1 for each factor."""
+    return _product([w.letters for f in factors
+                     for w in (f.conjugator, relators[f.relator_index] ** f.sign,
+                               f.conjugator.inverse())])
+
+
+def raw_product(relators, factors) -> Word:
+    """The same product, freely reduced from its raw letters."""
+    return Word([let for f in factors
+                 for w in (f.conjugator, relators[f.relator_index] ** f.sign,
+                           f.conjugator.inverse())
+                 for let in w.letters])
+
+
+kernel_words = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
+                        max_size=8).map(Word)
+
+
+@st.composite
+def certificate_factors(draw):
+    """Relators and factors whose conjugators are empty, free, or start
+    like the last conjugator, so that they cancel across factor seams."""
+    relators = tuple(draw(st.lists(kernel_words, min_size=1, max_size=4)))
+    factors = []
+    last = Word()
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("empty", "free", "seam")))
+        if kind == "empty":
+            u = Word()
+        elif kind == "free":
+            u = draw(kernel_words)
+        else:
+            k = draw(st.integers(0, len(last)))
+            u = Word(last.letters[:k] + draw(kernel_words).letters)
+        factors.append(Factor(u, draw(st.integers(0, len(relators) - 1)),
+                              draw(st.sampled_from((1, -1)))))
+        last = u
+    return relators, tuple(factors)
+
+
+@given(certificate_factors())
+def test_certificate_product_matches_the_word_level_product(case):
+    relators, factors = case
+    product = certificate_product(relators, Certificate(Word(), factors))
+    assert product == word_level_product(relators, factors)
+    assert product == raw_product(relators, factors)
+    # the factors followed by their inverses in reverse multiply out to 1
+    mirror = factors + inverted_certificate(Certificate(Word(), factors)).factors
+    assert certificate_product(relators, Certificate(Word(), mirror)).is_identity()
+
+
+# (scenario, frozen witness file key, key of the presentation it is over)
+FROZEN_CERTIFICATES = [
+    ("elimination-y-w", "full_from_raw", "eliminated"),
+    ("elimination-y-w", "raw_from_full", "massaged"),
+    ("derive-qc-commute", "certificates", "base"),
+    ("derive-cx-commute", "certificates", "base"),
+    ("derive-gx2", "certificates", "base"),
+    ("conjugacy-x", "certificates", "base"),
+]
+
+
+def test_certificate_product_matches_on_every_frozen_witness():
+    checked = 0
+    for sid, key, over in FROZEN_CERTIFICATES:
+        s = load_scenario(sid)
+        relators = s.presentation(over).relators
+        for cert in s.certificates(key).values():
+            product = certificate_product(relators, cert)
+            assert product == word_level_product(relators, cert.factors)
+            assert product == cert.target
+            checked += 1
+    s = load_scenario("redundancy-nine")
+    full = s.presentation()
+    for i, d in s.derivations().items():
+        relators = [r for j, r in enumerate(full.relators) if j != i]
+        for step in d.steps:
+            product = certificate_product(tuple(relators), step)
+            assert product == word_level_product(relators, step.factors)
+            assert product == step.target
+            relators.append(step.target)
+            checked += 1
+    assert checked > 100
+
+
+def logged_run(p, raise_at=None):
+    """A proof-logged Felsch run over p whose log raises _NewTrivialWord
+    at its raise_at-th merge; returns the table, the merges the log was
+    shown, and coincidence_count when the last coincidence began."""
+    log = _ProofLog()
+    ct = CosetTable(p, max_cosets=1000, log=log)
+    shown = []
+    began = [0]
+    merge, coincidence = log.merge, ct.coincidence
+
+    def raising_merge(a, b, proof):
+        shown.append((a, b))
+        if len(shown) == raise_at:
+            raise _NewTrivialWord(Word(), Word())
+        merge(a, b, proof)
+
+    def counted(*args):
+        began[0] = ct.coincidence_count
+        return coincidence(*args)
+
+    log.merge, ct.coincidence = raising_merge, counted
+    try:
+        assert _run(ct, "felsch") and raise_at is None
+    except _NewTrivialWord:
+        assert raise_at is not None
+    return ct, len(shown), began[0]
+
+
+@pytest.mark.parametrize("text", TRIVIAL_GROUPS)
+def test_a_lemma_raised_mid_cascade_leaves_the_counts_right(text):
+    # the log may raise _NewTrivialWord at any merge it is shown, also a
+    # merge forced deep in a cascade; a log that raises at its m-th merge,
+    # for every m, leaves the merges recorded before it counted
+    p = parse_presentation(text)
+    _, shown, _ = logged_run(p)
+    mid_cascade = 0
+    for m in range(1, shown + 1):
+        ct, _, began = logged_run(p, raise_at=m)
+        roots = sum(c == r for c, r in enumerate(ct.p))
+        assert ct.live_count == roots
+        assert ct.coincidence_count == len(ct.p) - roots
+        assert ct.defined_total == len(ct.p)
+        mid_cascade += ct.coincidence_count > began
+    assert mid_cascade > 0

@@ -47,6 +47,25 @@ def test_checksums_pinned():
     corpus.verify_checksums()
 
 
+@pytest.mark.parametrize("text, error", [
+    ("[]", r"bad\.certs\.json: must be an object keyed by relator index, got list"),
+    ('{"x": {"target": [], "factors": []}}', r"bad\.certs\.json\['x'\]"),
+    ('{"0": {"target": [], "factors": null}}',
+     r"bad\.certs\.json\['0'\]: factors must be a list"),
+])
+def test_a_malformed_witness_file_is_a_value_error(tmp_path, monkeypatch,
+                                                   text, error):
+    s = replace(corpus.load_scenario("derive-gx2"),
+                files={"certificates": "bad.certs.json",
+                       "derivations": "bad.certs.json"})
+    (tmp_path / "bad.certs.json").write_text(text)
+    monkeypatch.setattr(corpus, "CORPUS_DIR", tmp_path)
+    with pytest.raises(ValueError, match=error):
+        s.certificates()
+    with pytest.raises(ValueError, match=error.split(":")[0]):
+        s.derivations()
+
+
 def test_checksum_mismatch_detected(tmp_path, monkeypatch):
     for p in corpus.CORPUS_DIR.iterdir():
         if p.is_file() and p.suffix != ".pyc" and p.name != "__init__.py":
