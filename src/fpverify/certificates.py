@@ -119,9 +119,7 @@ def _word_from_json(pairs, names: dict, what: str = "word") -> Word:
     same document, to its two letters: a name is matched against
     GEN_NAME_RE once, the letters of a document are shared tuples, and
     the reduction cancels a letter against the stack's top by identity."""
-    if type(pairs) is not list:
-        raise ValueError(f"{what} must be a list, got {type(pairs).__name__}")
-    if not pairs:
+    if not _list(pairs, what):
         return _IDENTITY
     stack: list = []
     push, pop = stack.append, stack.pop

@@ -339,12 +339,9 @@ class CosetTable:
                         p[r], hi = hi, r
                     merges += 1
                     queue.append(hi)
-                if log is None:
-                    r = p[gamma]
-                    while p[r] != r:
-                        r = p[r]
-                    if r == 0 and self._row_zero_closed():
-                        raise _IndexOne
+                if (log is None and self.rep(gamma) == 0
+                        and self._row_zero_closed()):
+                    raise _IndexOne
         finally:
             self.live_count -= merges
             self.coincidence_count += merges
@@ -567,9 +564,7 @@ def _add_cycles(cycles: list[list[list[int]]], word: list[int], known):
     after every cycle no longer than it; returns (cycle, sign, shift) for
     each, the rotation of word^sign by shift letters.  known holds every
     cycle already in cycles as a tuple, and the caller adds the new ones
-    to it; a word found there inserts nothing.  A cycle no shorter than
-    its list's last one is appended, as `insort` would place it, so words
-    passed shortest first are never bisected."""
+    to it; a word found there inserts nothing."""
     # every call inserts a whole class, so word stands for its own
     if tuple(word) in known:
         return []
@@ -582,11 +577,7 @@ def _add_cycles(cycles: list[list[list[int]]], word: list[int], known):
     for sign, base in ((1, word), (-1, [c ^ 1 for c in reversed(word)])):
         for shift in range(period):
             cycle = base[shift:] + base[:shift]
-            column = cycles[cycle[0]]
-            if not column or len(column[-1]) <= n:
-                column.append(cycle)
-            else:
-                insort(column, cycle, key=len)
+            insort(cycles[cycle[0]], cycle, key=len)
             new.append((cycle, sign, shift))
     return new
 

@@ -1,5 +1,4 @@
 import random
-from bisect import insort
 
 import pytest
 
@@ -21,7 +20,6 @@ from fpverify.coset import (
     _COLUMN_BLOCK,
     STRATEGIES,
     CosetTable,
-    _add_cycles,
     _run,
 )
 
@@ -459,37 +457,6 @@ def test_a_logged_table_scans_the_cycles_of_its_relators_and_lemmas():
                 lemma = random_relators(rng, gens, 1, max_len=12)[0]
             log.add_relator(lemma)
             rels.append(lemma)
-
-
-def test_add_cycles_places_each_cycle_where_insort_would():
-    # a plain table passes its relators shortest first, and every cycle
-    # lands at the end of its list; lemmas may be shorter than earlier
-    # relators, or rotations of one, and then the cycles are bisected in
-    rng = random.Random(16)
-    for case in range(200):
-        gens = "abc"[:rng.choice((1, 2, 3))]
-        words = random_relators(rng, gens, rng.randint(1, 6), max_len=12)
-        if case % 2:
-            words.sort(key=len)
-        for _ in range(rng.randint(0, 4)):  # lemmas
-            r = rng.choice(words)
-            if rng.random() < 0.3:
-                k = rng.randrange(len(r))
-                words.append(Word(r.letters[k:] + r.letters[:k]).inverse())
-            else:
-                words.append(random_relators(rng, gens, 1,
-                                             max_len=len(r))[0])
-        col = {(g, e): 2 * i + (e < 0) for i, g in enumerate(gens)
-               for e in (1, -1)}
-        cycles = [[] for _ in range(2 * len(gens))]
-        expected = [[] for _ in range(2 * len(gens))]
-        known = set()
-        for w in words:
-            for cycle, _, _ in _add_cycles(cycles, [col[let] for let in w],
-                                           known):
-                known.add(tuple(cycle))
-                insort(expected[cycle[0]], list(cycle), key=len)
-            assert cycles == expected, words
 
 
 def test_an_index_one_stop_leaves_the_counts_right(monkeypatch):
