@@ -16,7 +16,7 @@ search proves nothing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .coset import CosetTable, _add_cycles, _run
@@ -151,7 +151,14 @@ def _bad_letter(what: str, pair) -> ValueError:
 
 
 class NotFound(Exception):
-    """Bounded certificate search exhausted without a witness (inconclusive)."""
+    """Bounded certificate search exhausted without a witness (inconclusive).
+
+    `stats` holds the work done up to the failure when the search
+    (`SearchStats`) or the collapse (`CollapseStats`) counted it."""
+
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats
 
 
 def certificate_product(relators: tuple[Word, ...], cert: Certificate) -> Word:
@@ -189,36 +196,22 @@ def verify_certificate(p: Presentation, cert: Certificate) -> bool:
     return certificate_product(p.relators, cert) == cert.target
 
 
-def conjugated_certificate(cert: Certificate, u: Word) -> Certificate:
-    """Certificate for u*target*u^-1."""
-    return Certificate(
-        cert.target.conjugated_by(u),
-        tuple(Factor(u * f.conjugator, f.relator_index, f.sign)
-              for f in cert.factors))
-
-
-def inverted_certificate(cert: Certificate) -> Certificate:
-    """Certificate for target^-1."""
-    return Certificate(
-        cert.target.inverse(),
-        tuple(Factor(f.conjugator, f.relator_index, -f.sign)
-              for f in reversed(cert.factors)))
-
-
-def inline_lemmas(cert: Certificate, n_relators: int,
-                  lemmas: dict[int, Certificate]) -> Certificate:
-    """Rewrite factors referencing lemma indices >= n_relators in terms of
-    base relators, using each lemma's own certificate over those relators."""
-    factors: list[Factor] = []
-    for f in cert.factors:
-        if f.relator_index < n_relators:
-            factors.append(f)
+def _inline(factors: tuple[Factor, ...], nbase: int,
+            lemmas: list[tuple[Factor, ...]]) -> tuple[Factor, ...]:
+    """factors over nbase relators and lemmas, rewritten over the relators
+    alone: a factor u * (lemma j)^s * u^-1, with relator index nbase + j,
+    becomes the factors lemmas[j] holds for lemma j, reversed with their
+    signs flipped when s is -1, each conjugated by u."""
+    out: list[Factor] = []
+    for f in factors:
+        j = f.relator_index - nbase
+        if j < 0:
+            out.append(f)
             continue
-        lemma = lemmas[f.relator_index]
-        if f.sign == -1:
-            lemma = inverted_certificate(lemma)
-        factors.extend(conjugated_certificate(lemma, f.conjugator).factors)
-    return Certificate(cert.target, tuple(factors))
+        u, sign = f.conjugator, f.sign
+        out.extend(Factor(u * g.conjugator, g.relator_index, sign * g.sign)
+                   for g in (lemmas[j] if sign == 1 else reversed(lemmas[j])))
+    return tuple(out)
 
 
 def _splice_moves(relators: tuple[Word, ...]):
@@ -265,7 +258,7 @@ def search_certificate(p: Presentation, target: Word,
     if not relators:
         if target.is_identity():
             return Certificate(target, (), SearchStats(states=1, peak_heap=1))
-        raise NotFound(f"no relators to derive {target}")
+        raise NotFound(f"no relators to derive {target}", SearchStats(1, 1))
     moves = _splice_moves(relators)
     max_len = len(target) + max_length_slack
 
@@ -320,7 +313,8 @@ def search_certificate(p: Presentation, target: Word,
                 heapq.heappush(heap, (len(new), nfac + 1, key))
     bound = f"max_states={max_states}" if len(best) > max_states else "search space"
     raise NotFound(f"no certificate for {target}: {bound} exhausted after "
-                   f"{len(best)} states explored")
+                   f"{len(best)} states explored",
+                   SearchStats(len(best), peak_heap))
 
 
 def _rebuild(target: Word, parents: dict, stats: SearchStats) -> Certificate:
@@ -351,12 +345,12 @@ def _rebuild(target: Word, parents: dict, stats: SearchStats) -> Certificate:
 # W(alpha)^-1.  A merge is recorded in the log's own union-find with a
 # bridge proof, and each entry a coincidence moves, or each merge it
 # forces, is proved from the entry it came from and the bridges of its two
-# ends.  When the enumeration collapses to a single coset, tracing any word
-# through the table concatenates entry proofs into a certificate for that
-# word.  When a merge first surfaces a trivial word outside the known
+# ends.  When a merge first surfaces a trivial word outside the known
 # relators, the merge's bridge proof is that word's certificate, and
-# `derive_by_collapse` keeps it as it stands: the log is the only source of
-# lemma certificates.
+# `_collapse` keeps it as a lemma step: the log is the only source of lemma
+# certificates.  Once an enumeration collapses to a single coset, tracing
+# any word through the table concatenates entry proofs into its
+# certificate, so one collapse serves any number of traces.
 
 
 # Proofs are nodes (`_Proof`), not words.  A node is a leaf word, the
@@ -440,7 +434,7 @@ class _ProofLog:
     cosets of the trivial subgroup; the table calls it where it changes.
 
     One log serves a sequence of tables over one presentation, as
-    `derive_by_collapse` makes them.  It takes its relators from its
+    `_collapse` makes them.  It takes its relators from its
     first table, and `add_relator` appends each lemma to them: relator k
     stands for the symbol "@k" in proofs.  It owns the tables' scan lists
     `cycles` of the relators' cyclic conjugates, built by
@@ -629,7 +623,8 @@ class _ProofLog:
 
 @dataclass(frozen=True)
 class CollapseStats:
-    """The work of one `derive_by_collapse` call."""
+    """The work of one `derive_by_collapse` call, or of a collapse up to
+    the `NotFound` that ends it."""
 
     enumerations: int    # proof-logging enumerations, restarts included
     lemmas: int          # lemmas surfaced, before pruning
@@ -691,37 +686,33 @@ def verify_derivation(p: Presentation, d: Derivation) -> bool:
     return d.steps[-1].target == d.target
 
 
-def derive_by_collapse(p: Presentation, target: Word,
-                       max_cosets: int = 100_000,
-                       max_steps: int = 500) -> Derivation:
-    """Derivation of target through the collapse of a trivial group.
+def _collapse(p: Presentation, max_cosets: int, max_steps: int
+              ) -> tuple[list[Certificate], _ProofLog, CollapseStats]:
+    """The proof-logged collapse of the trivial group p presents.
 
-    Runs proof-logging Felsch enumerations over p's relators plus the
-    lemmas found so far; each enumeration either completes (the group is
-    certified trivial and target is traced through the table) or surfaces
-    one new short trivial word, which becomes a step with the certificate
-    the proof log extracted for it, and the enumeration restarts.  One
-    proof log serves every enumeration over p and owns the lemmas: each
-    joins its relators through `_ProofLog.add_relator`, so the scan lists
-    and relator factors are built once and extended by each lemma.  The
-    result's `stats` count the work.
-    Only applicable when the presented group is trivial; raises NotFound
-    otherwise or when the bounds are exhausted, and ValueError when target
-    uses a generator outside p.
-    """
-    p.check_word(target, "target")
-    nbase = len(p.relators)
+    Runs Felsch enumerations over p's relators plus the lemmas so far.
+    Each stops at a new short trivial word, which becomes a lemma step
+    with the certificate the log extracted for it, until one completes
+    with one live coset.  One log serves every enumeration and owns the
+    lemmas (`_ProofLog.add_relator`).
+
+    Returns the lemma steps, the log, whose last table has one live coset
+    so that `log.trace(w)` proves any word w over p, and the counters.
+    Raises NotFound, with the counters so far, when p is not certified
+    trivial or a bound is exhausted."""
     steps: list[Certificate] = []
     log = _ProofLog(novelty=True)
     enumerations = cosets = 0
-    while True:
+
+    def stats() -> CollapseStats:
+        return CollapseStats(enumerations, len(steps), cosets, log.longest)
+
+    while len(steps) <= max_steps:
         ct = CosetTable(p, max_cosets=max_cosets, log=log)
         enumerations += 1
         try:
             completed = _run(ct, "felsch")
         except _NewTrivialWord as lemma:
-            if len(steps) >= max_steps:
-                raise NotFound(f"no derivation within {max_steps} lemmas")
             steps.append(Certificate(lemma.word, _proof_to_factors(lemma.proof)))
             log.add_relator(lemma.word)
             continue
@@ -730,14 +721,31 @@ def derive_by_collapse(p: Presentation, target: Word,
         if not completed:
             raise NotFound(
                 f"coset limit {max_cosets} exceeded after {len(steps)} lemmas "
-                f"({ct.live_count} live, {ct.defined_total} defined cosets)")
+                f"({ct.live_count} live, {ct.defined_total} defined cosets)",
+                stats())
         if ct.live_count != 1:
-            raise NotFound(f"group not certified trivial ({ct.live_count} cosets)")
-        steps.append(Certificate(target, _proof_to_factors(log.trace(target))))
-        break
-    stats = CollapseStats(enumerations=enumerations, lemmas=len(steps) - 1,
-                          cosets_defined=cosets, longest_proof=log.longest)
-    d = Derivation(target, _prune_derivation(nbase, steps), stats)
+            raise NotFound(f"group not certified trivial ({ct.live_count} "
+                           f"cosets)", stats())
+        return steps, log, stats()
+    raise NotFound(f"no derivation within {max_steps} lemmas", stats())
+
+
+def derive_by_collapse(p: Presentation, target: Word,
+                       max_cosets: int = 100_000,
+                       max_steps: int = 500) -> Derivation:
+    """Derivation of target through the collapse of a trivial group: the
+    collapse's lemmas that a trace of target through its one-coset table
+    uses, then that trace.  The result's `stats` count the work.
+    Only applicable when the presented group is trivial; raises NotFound
+    otherwise or when the bounds are exhausted, and ValueError when target
+    uses a generator outside p.
+    """
+    p.check_word(target, "target")
+    steps, log, stats = _collapse(p, max_cosets, max_steps)
+    steps.append(Certificate(target, _proof_to_factors(log.trace(target))))
+    # the trace's expansions count towards the longest proof
+    stats = replace(stats, longest_proof=log.longest)
+    d = Derivation(target, _prune_derivation(len(p.relators), steps), stats)
     if not verify_derivation(p, d):
         raise AssertionError(f"extracted derivation failed for {target}")
     return d
@@ -784,9 +792,7 @@ def derivation_to_certificate(p: Presentation, d: Derivation,
             f"inlined derivation needs {weight[-1]} factors (> {max_factors})")
     flat: list[tuple[Factor, ...]] = []
     for step in d.steps:
-        lemmas = {nbase + j: Certificate(d.steps[j].target, flat[j])
-                  for j in range(len(flat))}
-        flat.append(inline_lemmas(step, nbase, lemmas).factors)
+        flat.append(_inline(step.factors, nbase, flat))
     cert = Certificate(d.target, flat[-1])
     if not verify_certificate(p, cert):
         raise AssertionError(f"inlined derivation failed for {d.target}")
@@ -817,8 +823,8 @@ def derive_all(p: Presentation, targets: list[Word],
                                           extra_relators=extra, **search_bounds)
             except NotFound:
                 continue
-            lemmas = {n + k: proven[j] for k, j in enumerate(lemma_order)}
-            cert = inline_lemmas(cert, n, lemmas)
+            flat = [proven[j].factors for j in lemma_order]
+            cert = Certificate(t, _inline(cert.factors, n, flat))
             if not verify_certificate(p, cert):
                 raise AssertionError(f"inlined certificate failed for {t}")
             proven[i] = cert
@@ -839,16 +845,18 @@ def check_equivalence(p1: Presentation, p2: Presentation,
     into p1's generators via dictionary, must carry a verified certificate
     over p1's relators.  Supplied certs (keyed by p2 relator index) are
     verified; missing ones are searched for."""
+    images = {}  # each letter of p2's relators -> the letters of its image
     for g in {g for r in p2.relators for g in r.generators()}:
         if g not in dictionary:
             raise KeyError(f"dictionary missing entry for generator {g!r}")
+        images[g, 1] = dictionary[g].letters
+        images[g, -1] = dictionary[g].inverse().letters
     certs = certs or {}
     missing: list[int] = []
     translations: dict[int, Word] = {}
     for i, r in enumerate(p2.relators):
-        translated = r
-        for g in sorted(r.generators()):
-            translated = translated.substitute(g, dictionary[g])
+        # every letter at once, so that no image is translated again
+        translated = _product(images[letter] for letter in r.letters)
         if translated.is_identity():
             continue
         translations[i] = translated

@@ -5,7 +5,8 @@ Layout: ``<id>.grp`` presentation files in the textual grammar,
 ``scenarios.json`` registering every scenario with its expected outcome and
 the verbatim source claim it reproduces, ``*.certs.json`` /
 ``*.derivations.json`` frozen witnesses, and ``manifest.json`` pinning a
-sha256 per file so silent edits fail loudly in tests.
+sha256 per file so silent edits fail loudly: a scenario's replay checks
+its files against it first.
 """
 
 from __future__ import annotations
@@ -103,27 +104,52 @@ def load_scenario(scenario_id: str) -> Scenario:
     if scenario_id not in registry:
         known = ", ".join(sorted(registry))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
-    s = registry[scenario_id]
-    # every referenced file must exist; its pipeline parses it, in the
-    # run's convention
-    for name in s.files.values():
-        corpus_path(name)
-    return s
+    return registry[scenario_id]
 
 
 def file_sha256(name: str) -> str:
     return hashlib.sha256(corpus_path(name).read_bytes()).hexdigest()
 
 
+def _manifest() -> dict[str, str]:
+    with open(corpus_path(MANIFEST), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _mismatches(names, manifest: dict[str, str]) -> list[str]:
+    """A message for each of the files names whose SHA-256 differs from
+    the manifest's digest, or which is missing from the corpus or from
+    the manifest."""
+    out = []
+    for name in names:
+        digest = manifest.get(name)
+        try:
+            actual = file_sha256(name)
+        except FileNotFoundError as e:
+            out.append(str(e))
+            continue
+        if actual != digest:
+            out.append(f"corpus file {name} checksum mismatch: "
+                       f"{actual} != {digest}")
+    return out
+
+
+def _scenario_mismatches(s: Scenario) -> list[str]:
+    """`_mismatches` of the registry and the files s names, which are all
+    that replaying s reads from the corpus."""
+    try:
+        manifest = _manifest()
+    except (OSError, ValueError) as e:  # missing, or not JSON
+        return [f"{MANIFEST} unreadable: {e}"]
+    return _mismatches((REGISTRY, *s.files.values()), manifest)
+
+
 def verify_checksums() -> None:
     """Raise if any corpus file is missing or differs from the manifest."""
-    with open(corpus_path(MANIFEST), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    for name, digest in sorted(manifest.items()):
-        actual = file_sha256(name)
-        if actual != digest:
-            raise ValueError(
-                f"corpus file {name} checksum mismatch: {actual} != {digest}")
+    manifest = _manifest()
+    mismatches = _mismatches(sorted(manifest), manifest)
+    if mismatches:
+        raise ValueError(mismatches[0])
     on_disk = {p.name for p in CORPUS_DIR.iterdir()
                if p.is_file() and p.name not in (MANIFEST, "__init__.py")
                and not p.name.endswith(".pyc")}

@@ -23,7 +23,12 @@ from .certificates import (
     verify_certificate,
     verify_derivation,
 )
-from .corpus import Scenario, list_scenarios, load_scenario
+from .corpus import (
+    Scenario,
+    _scenario_mismatches,
+    list_scenarios,
+    load_scenario,
+)
 from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
 from .presentation import (
     Presentation,
@@ -103,9 +108,15 @@ class _Steps:
         try:
             ok, extra = fn()
         except NotFound as exc:
-            ok, extra = False, {"error": str(exc)}
+            ok, extra = False, _not_found(exc)
         detail.update(extra)
         return self.check(name, ok, **detail)
+
+
+def _not_found(exc: NotFound) -> dict:
+    """A step's detail for exc: its message, and its counters if it has
+    them."""
+    return {"error": str(exc), **(asdict(exc.stats) if exc.stats else {})}
 
 
 def _expected_h1(expected: dict) -> tuple[int, tuple[int, ...]]:
@@ -214,7 +225,7 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
                 # with the fresh derivation's collapse counters
                 detail = {"steps_in_chain": len(d.steps), **asdict(d.stats)}
             except NotFound as exc:
-                ok, detail = False, {"error": str(exc)}
+                ok, detail = False, _not_found(exc)
         certified += bool(ok)
         steps.check(f"relator-{i}", bool(ok), **detail)
     steps.check("count", certified >= s.expected["redundant_count_at_least"],
@@ -243,12 +254,14 @@ def _pipeline(s: Scenario):
 def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
                  strategy: str = DEFAULT_STRATEGY) -> RunReport:
-    # the run and its first step include looking up the scenario and
-    # checking that its files exist
+    # the run and its first step include looking up the scenario; a
+    # scenario whose files differ from the manifest is not replayed
     t0 = time.monotonic()
     steps = _Steps()
     s = load_scenario(scenario_id)
-    _pipeline(s)(s, steps, convention, max_cosets, strategy)
+    mismatches = _scenario_mismatches(s)
+    if steps.check("manifest", not mismatches, mismatches=mismatches):
+        _pipeline(s)(s, steps, convention, max_cosets, strategy)
     return RunReport(scenario=s.id, convention=convention,
                      steps=steps.results, source_claim=s.source_claim,
                      source_location=s.source_location,

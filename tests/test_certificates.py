@@ -27,14 +27,15 @@ from fpverify import (
 from fpverify import certificates
 from fpverify.certificates import (
     SearchStats,
+    _collapse,
+    _inline,
     _NewTrivialWord,
+    _proof_to_factors,
     _ProofLog,
     _word_from_json,
     certificate_product,
-    conjugated_certificate,
-    inverted_certificate,
 )
-from fpverify.corpus import load_scenario
+from fpverify.corpus import load_corpus_presentation, load_scenario
 from fpverify.coset import CosetTable, _run
 from fpverify.words import _product
 
@@ -110,6 +111,27 @@ def test_search_not_found_names_what_stopped_it():
         search_certificate(p, Word.gen("b"), max_states=2_000)
 
 
+def test_not_found_carries_the_counters_so_far():
+    s3 = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
+    with pytest.raises(NotFound) as search:
+        search_certificate(s3, Word.gen("r"), max_states=2_000)
+    stats = search.value.stats
+    assert f"after {stats.states} states explored" in str(search.value)
+    assert 1 <= stats.peak_heap <= stats.states
+    # the collapse of S3 completes with six cosets
+    with pytest.raises(NotFound, match="not certified trivial") as collapse:
+        derive_by_collapse(s3, Word.gen("r"), max_cosets=500)
+    stats = collapse.value.stats
+    assert stats.enumerations >= 1 and stats.cosets_defined >= 6
+    # the first lemma of this collapse is one more than max_steps allows
+    p = parse_presentation("< a, b | a b a^-1 b^-2, b a b^-1 a^-2 >")
+    with pytest.raises(NotFound, match="no derivation within 0 lemmas") as e:
+        derive_by_collapse(p, Word.gen("a"), max_steps=0)
+    assert (e.value.stats.enumerations, e.value.stats.lemmas) == (1, 1)
+    # a NotFound raised without counters has none
+    assert NotFound("no").stats is None
+
+
 def test_search_results_reverify_and_act_trivially():
     s3 = parse_presentation("< r, s | r^3, s^2, (r s)^2 >")
     table = enumerate_cosets(s3, ()).table
@@ -137,14 +159,17 @@ def test_cancelling_pair_insensitivity():
         assert verify_certificate(p, padded)
 
 
-def test_conjugated_and_inverted_certificates():
+def test_inline_conjugates_and_inverts_a_lemma():
     p = parse_presentation("< a | a^2, a^3 >")
-    cert = search_certificate(p, Word.gen("a"))
-    conj = conjugated_certificate(cert, parse_word("a^2"))
-    assert verify_certificate(p, conj)
-    inv = inverted_certificate(cert)
-    assert inv.target == Word.gen("a", -1)
-    assert verify_certificate(p, inv)
+    n = len(p.relators)
+    lemma = search_certificate(p, Word.gen("a")).factors
+    # a^2 * a * a^-2, and a^-1, over the relators and the lemma a
+    for u, sign, target in ((parse_word("a^2"), 1, "a"), (Word(), -1, "a^-1")):
+        inlined = _inline((Factor(u, n, sign),), n, [lemma])
+        assert all(f.relator_index < n for f in inlined)
+        assert verify_certificate(p, Certificate(parse_word(target), inlined))
+    # factors over the relators alone are kept as they are
+    assert _inline(lemma, n, []) == lemma
 
 
 def test_json_round_trip():
@@ -194,6 +219,19 @@ def test_check_equivalence_wrong_dictionary():
     p3 = parse_presentation("< a | a^4 >")
     assert not check_equivalence(
         p3, p2, {"b": Word.gen("a")}, passes=1, state_budgets=(2_000,))
+
+
+def test_check_equivalence_translates_every_letter_at_once():
+    # a -> b, b -> a sends a^2 b^-1 to b^2 a^-1, not (a -> b first) b,
+    # then (b -> a) a
+    p2 = parse_presentation("< a, b | a^2 b^-1 >")
+    swap = {"a": Word.gen("b"), "b": Word.gen("a")}
+    # b^2 a^-1 is b^2 here, of infinite order
+    assert not check_equivalence(parse_presentation("< a, b | a >"), p2,
+                                 swap, state_budgets=(500,))
+    # and here it is the relator itself
+    assert check_equivalence(parse_presentation("< a, b | b^2 a^-1 >"), p2,
+                             swap, state_budgets=(500,))
 
 
 def test_check_equivalence_missing_dictionary_entry():
@@ -304,6 +342,22 @@ def test_collapse_stats_count_the_work():
     assert "stats" not in d.to_json()
     again = Derivation.from_json(d.to_json())
     assert again.stats is None and again == d
+
+
+@pytest.mark.parametrize("convention, enumerations",
+                         [("default", 11), ("gap", 15)])
+def test_one_collapse_serves_a_trace_of_every_generator(convention,
+                                                        enumerations):
+    # the lemma steps of one collapse, followed by the trace of any word
+    # through its one-coset table, make a derivation of that word
+    p = load_corpus_presentation("pi1-N-full.grp", convention=convention)
+    steps, log, stats = _collapse(p, 100_000, 500)
+    assert stats.enumerations == enumerations == len(steps) + 1
+    assert stats.lemmas == len(steps)
+    for g in p.generators:
+        for w in (Word.gen(g), Word.gen(g, -1)):
+            trace = Certificate(w, _proof_to_factors(log.trace(w)))
+            assert verify_derivation(p, Derivation(w, (*steps, trace)))
 
 
 def test_target_outside_the_presentation_is_an_input_error(monkeypatch):
@@ -692,8 +746,29 @@ def test_certificate_product_matches_the_word_level_product(case):
     assert product == word_level_product(relators, factors)
     assert product == raw_product(relators, factors)
     # the factors followed by their inverses in reverse multiply out to 1
-    mirror = factors + inverted_certificate(Certificate(Word(), factors)).factors
+    n = len(relators)
+    mirror = factors + _inline((Factor(Word(), n, -1),), n, [factors])
     assert certificate_product(relators, Certificate(Word(), mirror)).is_identity()
+
+
+@given(st.lists(kernel_words, min_size=1, max_size=3), st.data())
+def test_inline_keeps_the_product_of_a_lemma_chain(relators, data):
+    # each step is drawn over the relators and the products of the steps
+    # before it, and is inlined over the relators alone: it multiplies
+    # out to the same word either way, with lemmas nested, inverted and
+    # conjugated
+    relators = tuple(relators)
+    n = len(relators)
+    flat: list = []
+    for _ in range(3):
+        factors = tuple(data.draw(st.lists(st.builds(
+            Factor, kernel_words, st.integers(0, len(relators) - 1),
+            st.sampled_from((1, -1))), max_size=4)))
+        product = certificate_product(relators, Certificate(Word(), factors))
+        flat.append(_inline(factors, n, flat))
+        assert certificate_product(
+            relators[:n], Certificate(Word(), flat[-1])) == product
+        relators += (product,)
 
 
 # (scenario, frozen witness file key, key of the presentation it is over)

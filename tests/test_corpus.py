@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import fpverify.corpus as corpus
+from fpverify.cli import main
+from fpverify.verify import run_scenario
 from fpverify import (
     Certificate,
     Derivation,
@@ -66,15 +68,54 @@ def test_a_malformed_witness_file_is_a_value_error(tmp_path, monkeypatch,
         s.derivations()
 
 
-def test_checksum_mismatch_detected(tmp_path, monkeypatch):
+@pytest.fixture
+def corpus_copy(tmp_path, monkeypatch):
+    """A copy of the corpus, read in place of the shipped one."""
     for p in corpus.CORPUS_DIR.iterdir():
         if p.is_file() and p.suffix != ".pyc" and p.name != "__init__.py":
             shutil.copy(p, tmp_path / p.name)
-    target = tmp_path / "pi1-N-reduced.grp"
-    target.write_text(target.read_text().replace("q^-2", "q^-3"))
     monkeypatch.setattr(corpus, "CORPUS_DIR", tmp_path)
-    with pytest.raises(ValueError):
+    return tmp_path
+
+
+def test_checksum_mismatch_detected(corpus_copy):
+    target = corpus_copy / "pi1-N-reduced.grp"
+    target.write_text(target.read_text().replace("q^-2", "q^-3"))
+    with pytest.raises(ValueError, match="pi1-N-reduced.grp checksum mismatch"):
         corpus.verify_checksums()
+    target.unlink()
+    with pytest.raises(ValueError, match="not found: pi1-N-reduced.grp"):
+        corpus.verify_checksums()
+
+
+def test_replay_checks_the_manifest_first(corpus_copy, capsys):
+    # the registry's expectation lowered, as an edit could: the replay
+    # fails at its first step, names the file and replays nothing more
+    registry = corpus_copy / corpus.REGISTRY
+    text = registry.read_text()
+    registry.write_text(text.replace('"redundant_count_at_least": 9',
+                                     '"redundant_count_at_least": 1'))
+    report = run_scenario("redundancy-nine")
+    assert report.status == "fail"
+    [step] = report.steps
+    assert (step.name, step.status) == ("manifest", "fail")
+    [mismatch] = step.detail["mismatches"]
+    assert "scenarios.json checksum mismatch" in mismatch
+    # a scenario that reads only untouched files still passes ...
+    registry.write_text(text)
+    report = run_scenario("pi1-E0-tilde")
+    assert report.status == "pass" and report.steps[0].name == "manifest"
+    assert report.steps[0].detail == {"mismatches": []}
+    # ... until one of its own files goes missing; the CLI exits 1
+    (corpus_copy / "pi1-E0-tilde.grp").unlink()
+    assert main(["verify", "--scenario", "pi1-E0-tilde"]) == 1
+    out = capsys.readouterr().out
+    assert "manifest" in out and "not found: pi1-E0-tilde.grp" in out
+    # every scenario fails it once the manifest itself is gone
+    (corpus_copy / corpus.MANIFEST).unlink()
+    [step] = run_scenario("derive-gx2").steps
+    assert step.detail["mismatches"] == [
+        "manifest.json unreadable: corpus file not found: manifest.json"]
 
 
 def test_every_scenario_has_source_claim():
@@ -85,7 +126,7 @@ def test_every_scenario_has_source_claim():
 
 def test_referenced_files_exist_and_parse():
     for s in corpus.list_scenarios():
-        loaded = corpus.load_scenario(s.id)  # checks that the files exist
+        loaded = corpus.load_scenario(s.id)
         for name in loaded.files.values():
             assert corpus.corpus_path(name).is_file()
             if name.endswith(".grp"):

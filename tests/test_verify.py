@@ -39,7 +39,8 @@ def test_redundancy_loads_its_chains_in_a_step_of_their_own():
     # "indices" step after it only compares two lists
     report = verify.run_scenario("redundancy-nine")
     assert report.status == "pass"
-    load, indices = report.steps[:2]
+    manifest, load, indices = report.steps[:3]
+    assert manifest.name == "manifest"
     assert (load.name, indices.name) == ("load-derivations", "indices")
     expected = corpus.load_scenario("redundancy-nine").expected
     assert load.detail == {"chains": len(expected["certified_indices"])}
@@ -124,3 +125,26 @@ def test_gap_certificate_steps_report_the_search():
     step = next(s for s in report.steps if s.name == "certificate")
     assert step.detail["factors"] >= 1
     assert 1 <= step.detail["peak_heap"] <= step.detail["states"]
+
+
+def test_a_failed_step_reports_the_counters_of_its_not_found(monkeypatch):
+    # a bounded collapse and a bounded search fail; each step's detail
+    # carries the counters next to the error
+    derive_by_collapse = verify.derive_by_collapse
+    monkeypatch.setattr(verify, "derive_by_collapse", lambda rest, target:
+                        derive_by_collapse(rest, target, max_cosets=50))
+    report = verify.run_scenario("redundancy-nine", convention="gap")
+    relators = [s for s in report.steps if s.name.startswith("relator-")]
+    assert relators and all(s.status == "fail" for s in relators)
+    for step in relators:
+        assert "coset limit 50 exceeded" in step.detail["error"]
+        assert step.detail["enumerations"] >= 1
+        assert step.detail["cosets_defined"] >= 50
+    search_certificate = verify.search_certificate
+    monkeypatch.setattr(verify, "search_certificate", lambda p, target:
+                        search_certificate(p, target, max_states=200))
+    report = verify.run_scenario("derive-gx2", convention="gap")
+    step = next(s for s in report.steps if s.name == "certificate")
+    assert step.status == "fail"
+    assert f"after {step.detail['states']} states" in step.detail["error"]
+    assert step.detail["peak_heap"] >= 1
