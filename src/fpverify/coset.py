@@ -52,14 +52,18 @@ each lemma it surfaced.  A table with a log scans the log's relator
 cycles, which `_add_cycles` builds as it builds every table's.
 
 Deductions.  Both strategies run one driver that walks the live rows in
-order and defines each missing entry of a row.  After each step it pops
-the table's deduction stack and scans each changed entry (alpha, x) at
-alpha by the cyclic conjugates x u of the relators and their inverses;
-their rotated inverses x^-1 u^-1 at alpha^x would walk the same cycles
-backwards.  A coincidence pushes every entry it moves onto that stack,
-and so does every deduction closed by one of those scans, so Felsch's
-rule runs to exhaustion and a merge's consequences, and theirs, are
-found at once, not when the row pointer reaches the cosets they touch.
+order and defines each missing entry of a row.  After each step it
+drains the table's deduction queue, first in, first out, and scans each
+changed entry (alpha, x) at alpha by the cyclic conjugates x u of the
+relators and their inverses; their rotated inverses x^-1 u^-1 at alpha^x
+would walk the same cycles backwards.  A coincidence pushes every entry
+it moves onto that queue, and so does every deduction closed by one of
+those scans, so Felsch's rule runs to exhaustion and a merge's
+consequences, and theirs, are found at once, not when the row pointer
+reaches the cosets they touch.  Taking the oldest entry first spreads a
+merge's consequences breadth first rather than down one chain of them;
+on `pi1-N-reduced` under HLT the index-1 stop below then fires after
+8,954 definitions, where taking the newest entry first took 15,415.
 HLT adds relator fill scans: at each row it first scans every relator
 with `fill`, then defines the entries still missing; neither its fill
 scans nor its definitions push anything.  Felsch also pushes every
@@ -82,6 +86,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
 
 from .presentation import Presentation
@@ -121,7 +126,7 @@ class EnumerationResult:
     compactions: int = 0
     # live cosets when coset 0's row closed on itself, 0 if it never did
     index_one_live: int = 0
-    # deductions popped off the stack and scanned by the relator cycles
+    # deductions taken from the queue and scanned by the relator cycles
     deductions: int = 0
 
     @property
@@ -152,14 +157,15 @@ class CosetTable:
     binds a column must bind it again after either; growth extends the
     columns in place.
 
-    `deductions` is a stack of changed entries (coset, column), drained by
-    the enumeration driver after each relator scan and each definition.
-    Every entry a coincidence moves, and every deduction a scan without
-    `fill` closes, is pushed onto it; definitions and the deductions a
-    fill scan closes are pushed only while `track_deductions` is set,
-    which the driver does for Felsch.  HLT instead fills each row's
-    relator scans (`scan` with `fill`) before defining the row's missing
-    entries.  `deductions_scanned` counts the entries the driver pops.
+    `deductions` is a first-in, first-out queue of changed entries
+    (coset, column), drained by the enumeration driver after each relator
+    scan and each definition.  Every entry a coincidence moves, and every
+    deduction a scan without `fill` closes, is pushed onto it; definitions
+    and the deductions a fill scan closes are pushed only while
+    `track_deductions` is set, which the driver does for Felsch.  HLT
+    instead fills each row's relator scans (`scan` with `fill`) before
+    defining the row's missing entries.  `deductions_scanned` counts the
+    entries the driver takes.
 
     `cycles[x]` lists the distinct cyclic conjugates of the relators and
     their inverses that begin with column x, shortest first, as
@@ -201,7 +207,7 @@ class CosetTable:
         self.index_one_live = 0
         self.deductions_scanned = 0
         self.track_deductions = False
-        self.deductions: list[tuple[int, int]] = []
+        self.deductions: deque[tuple[int, int]] = deque()
         self.complete = False
         self.log = log
         if log is None:
@@ -467,7 +473,7 @@ class CosetTable:
         for col in self.table:
             entries = [col[i] for i in live]
             new_table.append([None if e is None else remap[e] for e in entries])
-        self.deductions = [(remap[a], x) for a, x in self.deductions]
+        self.deductions = deque((remap[a], x) for a, x in self.deductions)
         self.table = new_table
         self.p = list(range(len(live)))
         return mapping
@@ -583,14 +589,14 @@ def _add_cycles(cycles: list[list[list[int]]], word: list[int], known):
 
 
 def _process_deductions(ct: CosetTable) -> None:
-    """Pop the deduction stack to exhaustion, scanning each relator cycle
-    through a changed entry (alpha, x) once: at alpha, from x on.  The
-    scans push the entries they close, so the stack empties only once
-    Felsch's rule finds nothing more."""
+    """Drain the deduction queue to exhaustion, oldest entry first,
+    scanning each relator cycle through a changed entry (alpha, x) once:
+    at alpha, from x on.  The scans push the entries they close, so the
+    queue empties only once Felsch's rule finds nothing more."""
     deductions, p, cycles = ct.deductions, ct.p, ct.cycles
     scan, rep = ct.scan, ct.rep
     while deductions:
-        alpha, x = deductions.pop()
+        alpha, x = deductions.popleft()
         ct.deductions_scanned += 1
         alpha = rep(alpha)
         words = cycles[x]
@@ -604,7 +610,7 @@ def _run(ct: CosetTable, strategy: str) -> bool:
     the limit is exceeded.  HLT first scans the relators at each row,
     defining cosets as it goes, in one `scan` call unless a merge
     interrupts it; then both strategies define the row's missing
-    entries, draining the deduction stack after each step.  A
+    entries, draining the deduction queue after each step.  A
     coincidence that closes coset 0's row completes the run at once,
     with the table replaced by its one-row quotient."""
     hlt = strategy == "hlt"

@@ -111,7 +111,18 @@ class Presentation:
             raise ValueError(f"{what} {w} uses unknown generators {sorted(unknown)}")
 
     def with_relators(self, relators: Iterable[Word]) -> "Presentation":
-        return Presentation(self.generators, relators, name=self.name)
+        """The same generators and name with these relators.  A relator
+        that is one of this presentation's own (the same object) is
+        already checked and reduced, and is kept as it is; any other is
+        checked, reduced or dropped as the constructor does."""
+        own = {id(r) for r in self.relators}
+        q = object.__new__(Presentation)
+        object.__setattr__(q, "generators", self.generators)
+        object.__setattr__(q, "name", self.name)
+        cores = (r if id(r) in own else q._relator_core(r) for r in relators)
+        object.__setattr__(q, "relators", tuple(
+            core for core in cores if core is not None))
+        return q
 
     def to_json(self) -> dict:
         return {

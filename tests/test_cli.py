@@ -248,11 +248,11 @@ def test_triviality_step_reports_compactions(capsys):
     # before its dead cosets call for a compaction
     assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 1)
     # the live cosets when index 1 was proven, under each strategy
-    # and the deductions popped and scanned
-    assert (detail["index_one_live"], detail["deductions"]) == (384, 147)
+    # and the deductions taken from the queue and scanned
+    assert (detail["index_one_live"], detail["deductions"]) == (151, 111)
     code, detail = triviality_detail(capsys, "--strategy", "felsch")
     assert (code, detail["index_one_live"], detail["deductions"]) == (
-        0, 77, 1_463)
+        0, 77, 1_457)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
     assert "lookahead_passes" not in detail

@@ -20,6 +20,7 @@ from fpverify.coset import (
     _COLUMN_BLOCK,
     STRATEGIES,
     CosetTable,
+    _process_deductions,
     _run,
 )
 
@@ -340,14 +341,14 @@ def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
 MOVED_ENTRY_CASES = [
     # strategy, convention, file, defined, live_max, index_one_live,
     # deductions
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 1_340, 1_307, 384, 147),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 1_340, 1_307, 151, 111),
     ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp",
-     15_415, 14_715, 11_401, 1_333),
-    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 7_686, 7_395, 4_223, 1_712),
-    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 77, 1_463),
+     8_954, 8_610, 5_064, 978),
+    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 7_685, 7_395, 4_654, 1_949),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 77, 1_457),
     ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp",
-     17_068, 16_657, 14_784, 24_524),
-    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_751, 5_180),
+     17_068, 16_657, 14_783, 24_548),
+    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_254, 5_197),
 ]
 
 
@@ -384,7 +385,43 @@ def test_a_deduction_scan_pushes_the_entry_it_closes():
         ct.define(1, 0)
         assert ct.scan(0, ct.relator_cols, fill) == 1
         assert ct.table[0][2] == 0 and ct.table[1][0] == 2
-        assert ct.deductions == pushed
+        assert list(ct.deductions) == pushed
+
+
+def test_deductions_are_scanned_in_the_order_they_were_pushed():
+    # the queue is drained first in, first out: both seeded entries are
+    # scanned, in the order they were pushed, before any entry their own
+    # scans close
+    ct = CosetTable(parse_presentation("< a, b | a^2, b^3, (a b)^5 >"))
+    ct.define(0, 0)
+    ct.define(0, 2)
+    ct.deductions.extend([(0, 0), (0, 2)])
+    scans = []
+    scan = ct.scan
+
+    def recording_scan(alpha, words, fill=False, k=0):
+        if k == 0:
+            scans.append((alpha, next(x for x, cycles in enumerate(ct.cycles)
+                                      if cycles is words)))
+        return scan(alpha, words, fill, k)
+
+    ct.scan = recording_scan
+    _process_deductions(ct)
+    assert scans[:2] == [(0, 0), (0, 2)]
+    assert len(scans) == ct.deductions_scanned > 2
+    assert not ct.deductions
+
+
+def test_gap_reduced_limit_run_is_pinned():
+    # the GAP-convention pi1-N-reduced run to the 200,000-coset limit,
+    # perfbench's enum-limit workload, does the same work whichever end
+    # of the deduction queue is drained first; its counts are pinned
+    p = load_corpus_presentation("pi1-N-reduced.grp", convention=CONVENTION_GAP)
+    result = enumerate_cosets(p, (), strategy="hlt", max_cosets=200_000)
+    assert result.status == "LimitExceeded"
+    assert (result.cosets_defined_total, result.cosets_live_max,
+            result.coincidences, result.deductions) == (
+        204_297, 200_000, 4_297, 7_525)
 
 
 def random_relators(rng, gens, count, max_len=8):

@@ -115,6 +115,34 @@ def test_trivial_relator_dropped():
     assert p.relators == (Word.gen("a"),)
 
 
+def test_with_relators_keeps_its_own_relators():
+    # the presentation's own relators are kept as they are, and the result
+    # equals a freshly built presentation
+    full = load_corpus_presentation("pi1-N-full.grp")
+    rest = full.with_relators(full.relators[1:])
+    assert rest == Presentation(full.generators, full.relators[1:])
+    assert (rest.generators, rest.name) == (full.generators, full.name)
+    assert all(a is b for a, b in zip(rest.relators, full.relators[1:]))
+    assert full.with_relators(()) == Presentation(full.generators)
+
+
+def test_with_relators_checks_a_foreign_relator_as_the_constructor_does():
+    p = parse_presentation("< a, b | a^2 >")
+    foreign = [parse_word("a b a^-1"), Word([("b", 1), ("b", -1)]),
+               parse_word("a^2"), p.relators[0]]
+    # a foreign relator is cyclically reduced, and a trivial one dropped
+    q = p.with_relators(foreign)
+    assert q == Presentation(p.generators, foreign)
+    assert q.relators == (Word.gen("b"), Word.gen("a", 2), Word.gen("a", 2))
+    # and one over an unknown generator is rejected with the same message
+    bad = [p.relators[0], parse_word("a z")]
+    with pytest.raises(ValueError) as fresh:
+        Presentation(p.generators, bad)
+    with pytest.raises(ValueError, match="unknown generators") as copied:
+        p.with_relators(bad)
+    assert str(copied.value) == str(fresh.value)
+
+
 def test_round_trip_corpus():
     for s in list_scenarios():
         for name in s.files.values():

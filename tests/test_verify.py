@@ -85,7 +85,7 @@ def test_gap_redundancy_derives_by_collapse_alone(monkeypatch):
         assert detail["cosets_defined"] > 0 and detail["longest_proof"] > 0
     assert {k: relators["relator-15"][k] for k in
             ("enumerations", "lemmas", "cosets_defined")} \
-        == {"enumerations": 19, "lemmas": 18, "cosets_defined": 4071}
+        == {"enumerations": 19, "lemmas": 18, "cosets_defined": 4069}
 
 
 def test_run_all_loads_each_file_once_per_scenario(monkeypatch):
