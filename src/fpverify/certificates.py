@@ -16,6 +16,7 @@ search proves nothing.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
@@ -238,7 +239,7 @@ def search_certificate(p: Presentation, target: Word,
                        max_conjugator_len: int = 24,
                        max_length_slack: int = 8,
                        max_states: int = 200_000,
-                       extra_relators: tuple[Word, ...] = ()) -> Certificate:
+                       extra_relators: Sequence[Word] = ()) -> Certificate:
     """Bounded best-first search for a certificate expressing target as a
     consequence of p's relators (plus optional extra relators, which the
     returned certificate may reference by index past len(p.relators)).
@@ -800,39 +801,34 @@ def derivation_to_certificate(p: Presentation, d: Derivation,
 
 
 def derive_all(p: Presentation, targets: list[Word],
-               passes: int = 3,
                state_budgets: tuple[int, ...] = (20_000, 100_000, 400_000),
                **search_bounds) -> dict[int, Certificate]:
-    """Search certificates for several targets with lemma layering: each
-    pass retries unproven targets with all already-proven targets available
-    as derived relators, escalating the state budget per pass.  Returned
-    certificates are inlined down to p's own relators and all verify.
-    Targets not derived within the bounds are absent from the result."""
+    """Search certificates for several targets with lemma layering: one
+    pass per state budget, in order, retries the unproven targets with all
+    already-proven targets available as derived relators; the passes stop
+    once every target is proven.  Returned certificates are inlined down
+    to p's own relators and all verify.  Targets not derived within the
+    bounds are absent from the result."""
     n = len(p.relators)
     proven: dict[int, Certificate] = {}
-    lemma_order: list[int] = []  # target indices, in the order they were proven
-    for attempt in range(passes):
-        budget = state_budgets[min(attempt, len(state_budgets) - 1)]
-        progress = False
+    extra: list[Word] = []  # the proven targets, in the order they were proven
+    flat: list[tuple[Factor, ...]] = []  # their certificates, in that order
+    for budget in state_budgets:
         for i, t in enumerate(targets):
             if i in proven:
                 continue
-            extra = tuple(targets[j] for j in lemma_order)
             try:
                 cert = search_certificate(p, t, max_states=budget,
                                           extra_relators=extra, **search_bounds)
             except NotFound:
                 continue
-            flat = [proven[j].factors for j in lemma_order]
             cert = Certificate(t, _inline(cert.factors, n, flat))
             if not verify_certificate(p, cert):
                 raise AssertionError(f"inlined certificate failed for {t}")
             proven[i] = cert
-            lemma_order.append(i)
-            progress = True
+            extra.append(t)
+            flat.append(cert.factors)
         if len(proven) == len(targets):
-            break
-        if not progress and attempt >= len(state_budgets) - 1:
             break
     return proven
 

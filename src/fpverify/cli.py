@@ -16,7 +16,6 @@ import sys
 
 from . import __version__
 from .certificates import NotFound, search_certificate
-from .corpus import list_scenarios
 from .coset import (
     DEFAULT_MAX_COSETS,
     DEFAULT_STRATEGY,
@@ -173,7 +172,7 @@ def cmd_verify(args) -> int:
                                     convention=args.convention,
                                     max_cosets=max_cosets,
                                     strategy=args.strategy)]
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:  # an unknown id, a damaged registry
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
@@ -235,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay registered scenarios")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", metavar="ID",
-                       help="one of: " + ", ".join(
-                           s.id for s in list_scenarios()))
+                       help="a registered scenario id; an unknown one is an "
+                            "input error that lists the known ids")
     group.add_argument("--all", action="store_true")
     p.add_argument("--strategy", choices=STRATEGIES, default=DEFAULT_STRATEGY)
     p.add_argument("--max-cosets", type=_int_at_least(1), default=None)

@@ -78,20 +78,41 @@ def load_corpus_presentation(name: str,
         return parse_presentation(fh.read(), convention=convention)
 
 
+# each registry entry's fields with their types
+_ENTRY_FIELDS = {"id": str, "description": str, "files": dict,
+                 "expected": dict, "source_claim": str,
+                 "source_location": str}
+
+
 @lru_cache(maxsize=None)
 def _registry() -> dict[str, Scenario]:
+    """The registered scenarios by id; raises ValueError naming the
+    registry when it is not JSON or an entry is malformed."""
     with open(corpus_path(REGISTRY), encoding="utf-8") as fh:
-        entries = json.load(fh)
+        try:
+            entries = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{REGISTRY}: not JSON: {e}") from None
+    if type(entries) is not list:
+        raise ValueError(f"{REGISTRY}: must be a list of scenario entries, "
+                         f"got {type(entries).__name__}")
     out: dict[str, Scenario] = {}
-    for e in entries:
-        out[e["id"]] = Scenario(
-            id=e["id"],
-            description=e["description"],
-            files=e.get("files", {}),
-            expected=e.get("expected", {}),
-            source_claim=e["source_claim"],
-            source_location=e.get("source_location", ""),
-        )
+    for k, e in enumerate(entries):
+        if type(e) is not dict:
+            raise ValueError(f"{REGISTRY}[{k}]: must be an object, "
+                             f"got {type(e).__name__}")
+        fields = {"files": {}, "expected": {}, "source_location": "", **e}
+        for name, kind in _ENTRY_FIELDS.items():
+            if type(fields.get(name)) is not kind:
+                raise ValueError(f"{REGISTRY}[{k}]: {name!r} must be a "
+                                 f"{kind.__name__}, got {fields.get(name)!r}")
+        unknown = sorted(set(fields) - set(_ENTRY_FIELDS))
+        if unknown:
+            raise ValueError(f"{REGISTRY}[{k}]: unknown fields {unknown}")
+        if not all(type(f) is str for f in fields["files"].values()):
+            raise ValueError(f"{REGISTRY}[{k}]: 'files' must map keys to "
+                             f"file names")
+        out[fields["id"]] = Scenario(**fields)
     return out
 
 
@@ -112,8 +133,15 @@ def file_sha256(name: str) -> str:
 
 
 def _manifest() -> dict[str, str]:
+    """The manifest's digests by file name; raises ValueError unless it
+    holds an object of name -> digest strings."""
     with open(corpus_path(MANIFEST), encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if type(manifest) is not dict or not all(
+            type(d) is str for d in manifest.values()):
+        raise ValueError(f"{MANIFEST} must hold an object of file name -> "
+                         f"sha256 strings")
+    return manifest
 
 
 def _mismatches(names, manifest: dict[str, str]) -> list[str]:

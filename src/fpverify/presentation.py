@@ -352,12 +352,11 @@ def _defining_forms(relator: Word, gen: str) -> Word | None:
     free of gen, return the definition w."""
     if relator.count(gen) != 1:
         return None
-    for cand in (relator, relator.inverse()):
-        for rot in cand.cyclic_permutations():
-            first = rot.letters[0]
-            if first == (gen, 1):
-                return Word(rot.letters[1:]).inverse()
-    return None
+    letters = relator.letters
+    i = next(k for k, (g, _) in enumerate(letters) if g == gen)
+    # the rotation gen^e * rest: rest is the letters after gen, round the cycle
+    rest = Word(letters[i + 1:] + letters[:i])
+    return rest.inverse() if letters[i][1] == 1 else rest
 
 
 def _shortest_defining_relator(p: Presentation, gen: str) -> int | None:
@@ -394,11 +393,12 @@ def eliminate_generator(p: Presentation, gen: str,
 
 
 def _cyclic_class_key(w: Word) -> tuple:
-    """Canonical key identifying w up to cyclic permutation and inversion."""
-    variants = []
-    for cand in (w, w.inverse()):
-        variants.extend(v.letters for v in cand.cyclic_permutations())
-    return min(variants)
+    """Canonical key identifying a cyclically reduced w up to cyclic
+    permutation and inversion: its least rotation or its inverse's."""
+    n = len(w)
+    return min((doubled[i:i + n]
+                for doubled in (w.letters * 2, w.inverse().letters * 2)
+                for i in range(n)), default=())
 
 
 def dedupe_relators(p: Presentation) -> tuple[Presentation, list[TietzeMove]]:

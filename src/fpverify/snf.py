@@ -1,8 +1,13 @@
 """Smith normal form over the integers and first homology of a presentation.
 
 Matrices are plain lists of lists of Python ints (arbitrary precision),
-row-major.  Pivoting picks the smallest nonzero absolute value, ties by
-position, which keeps entry growth in check and is deterministic.
+row-major.  One elimination loop: each pass moves the smallest nonzero
+entry of the unfinished block to (t, t), ties by position, and reduces
+column t and row t by it.  A nonzero remainder becomes the next pass's
+pivot.  Once the pivot stands alone, an entry of the block it does not
+divide is added into its row, so the divisibility chain holds as t
+advances and no repair pass follows.  For each t the pivot's absolute
+value falls at least every second pass, so the loop ends.
 """
 
 from __future__ import annotations
@@ -49,93 +54,63 @@ def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SmithForm:
         raise ValueError("ragged matrix")
     u = _identity(rows) if transforms else None
     v = _identity(cols) if transforms else None
+    # Row operations act on every matrix in row_mats, column operations on
+    # every row in col_rows.  Rows change in place, so col_rows stays valid
+    # when row_mats reorders them.
+    row_mats = [a, u] if transforms else [a]
+    col_rows = a + v if transforms else a[:]
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+        for m in row_mats:
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in col_rows:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        for m in row_mats:
+            m[dst][:] = [x + k * y for x, y in zip(m[dst], m[src])]
 
     def add_col(src, dst, k):
-        for row in a:
+        for row in col_rows:
             row[dst] += k * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += k * row[src]
 
     def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
+        for m in row_mats:
+            m[i][:] = [-x for x in m[i]]
 
     t = 0
     while t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None
-                                     or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        # the smallest nonzero entry of the block; ties go to the first
+        # position, so a pivot already at (t, t) keeps its place
+        pivot = min(((abs(a[i][j]), i, j) for i in range(t, rows)
+                     for j in range(t, cols) if a[i][j]), default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:  # remainder smaller than pivot
-                        swap_rows(t, i)
-                        dirty = True
-            # clear row t
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
+        p = a[t][t]
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                add_row(t, i, -(a[i][t] // p))
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                add_col(t, j, -(a[t][j] // p))
+        # a nonzero remainder is smaller than p: the next pass pivots on it
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
+            continue
+        # p stands alone; an entry it does not divide joins row t, whose
+        # reduction then leaves a remainder smaller than p
+        if abs(p) != 1:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % p for x in a[i][t + 1:])), None)
+            if bad is not None:
+                add_row(bad, t, 1)
+                continue
+        if p < 0:
             negate_row(t)
         t += 1
-
-    # enforce divisibility chain d_i | d_{i+1}: replace each offending pair
-    # with (gcd, lcm) via a 2x2 block elimination
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            if a[i + 1][i + 1] % a[i][i] != 0:
-                add_col(i + 1, i, 1)  # puts d_{i+1} below the pivot
-                while a[i + 1][i] != 0:  # Euclid on rows i, i+1
-                    q = a[i][i] // a[i + 1][i]
-                    add_row(i + 1, i, -q)
-                    swap_rows(i, i + 1)
-                q = a[i][i + 1] // a[i][i]  # exact: pivot is now the pair gcd
-                add_col(i, i + 1, -q)
-                if a[i][i] < 0:
-                    negate_row(i)
-                if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                assert a[i][i + 1] == 0 and a[i + 1][i] == 0
-                assert a[i + 1][i + 1] % a[i][i] == 0
-                changed = True
 
     diagonal = tuple(a[i][i] for i in range(min(rows, cols)))
     rank = sum(1 for d in diagonal if d != 0)

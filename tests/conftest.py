@@ -21,6 +21,14 @@ def battery_case(request):
     return parse_presentation(text), order
 
 
+# a presentation whose relation matrix blew up a two-phase Smith form: its
+# entries ran past 4,000 digits before the divisibility chain was reached
+BADLY_PRESENTED_Z_MODULE = """< g0, g1, g2, g3, g4, g5, g6 |
+  g3^21 g4^30 g5^-10 g6^-29, g1^26 g2^-17 g5^18 g6, g0^-8 g1^-16 g5^28 g6^11,
+  g0^10 g3^-9 g6^-3, g0^28 g2^7 g4^30 g5^7, g0^17 g2^-19 g3^26 g6^-2,
+  g1^-20 g2^-5 g3^16 g4^-28 g5^24 >"""
+
+
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "schemas"
 
 

@@ -218,7 +218,7 @@ def test_check_equivalence_wrong_dictionary():
     assert check_equivalence(p1, p2, {"b": Word.gen("a")})
     p3 = parse_presentation("< a | a^4 >")
     assert not check_equivalence(
-        p3, p2, {"b": Word.gen("a")}, passes=1, state_budgets=(2_000,))
+        p3, p2, {"b": Word.gen("a")}, state_budgets=(2_000,))
 
 
 def test_check_equivalence_translates_every_letter_at_once():

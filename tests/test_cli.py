@@ -9,7 +9,7 @@ from fpverify.cli import main
 from fpverify.corpus import corpus_path
 from fpverify.presentation import MAX_NESTING, MAX_WORD_LENGTH
 
-from conftest import schema
+from conftest import BADLY_PRESENTED_Z_MODULE, schema
 
 
 def validate(instance, name):
@@ -303,6 +303,19 @@ def test_console_script_end_to_end():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"free_rank": 0, "torsion": []}
+
+
+def test_abelianize_a_badly_presented_module(tmp_path):
+    # in a subprocess with a timeout, so that an entry blow-up fails the
+    # test instead of hanging it
+    grp = tmp_path / "module.grp"
+    grp.write_text(BADLY_PRESENTED_Z_MODULE)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpverify.cli", "abelianize", str(grp)],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"free_rank": 0,
+                                       "torsion": [2, 5116140078]}
 
 
 @pytest.mark.parametrize("argv", [

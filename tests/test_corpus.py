@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import shutil
 import sys
 from dataclasses import replace
@@ -116,6 +117,61 @@ def test_replay_checks_the_manifest_first(corpus_copy, capsys):
     [step] = run_scenario("derive-gx2").steps
     assert step.detail["mismatches"] == [
         "manifest.json unreadable: corpus file not found: manifest.json"]
+
+
+@pytest.mark.parametrize("text", ["[]", '{"scenarios.json": 1}'])
+def test_a_manifest_that_is_not_an_object_fails_the_step(corpus_copy, text):
+    (corpus_copy / corpus.MANIFEST).write_text(text)
+    report = run_scenario("derive-gx2")
+    assert report.status == "fail"
+    [step] = report.steps
+    [mismatch] = step.detail["mismatches"]
+    assert mismatch == ("manifest.json unreadable: manifest.json must hold "
+                        "an object of file name -> sha256 strings")
+    with pytest.raises(ValueError, match="manifest.json must hold an object"):
+        corpus.verify_checksums()
+
+
+@pytest.fixture
+def fresh_registry():
+    """The registry read afresh from the corpus in use, and again after."""
+    corpus._registry.cache_clear()
+    yield
+    corpus._registry.cache_clear()
+
+
+def test_a_registry_entry_without_a_description(corpus_copy, fresh_registry,
+                                                capsys):
+    registry = corpus_copy / corpus.REGISTRY
+    entries = json.loads(registry.read_text())
+    del entries[3]["description"]
+    registry.write_text(json.dumps(entries))
+    message = "scenarios.json[3]: 'description' must be a str, got None"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus.list_scenarios()
+    # verify exits 2 with the message; the other commands never read it
+    assert main(["verify", "--scenario", "pi1-E0-tilde"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["verify", "--all"]) == 2
+    assert main(["parse", str(corpus_copy / "pi1-E0-tilde.grp")]) == 0
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[{", r"scenarios\.json: not JSON: "),
+    ("{}", r"scenarios\.json: must be a list of scenario entries, got dict"),
+    ("[[]]", r"scenarios\.json\[0\]: must be an object, got list"),
+    ('[{"id": 1}]', r"scenarios\.json\[0\]: 'id' must be a str, got 1"),
+    ('[{"id": "x", "description": "d", "source_claim": "c", "file": {}}]',
+     r"scenarios\.json\[0\]: unknown fields \['file'\]"),
+    ('[{"id": "x", "description": "d", "source_claim": "c",'
+     ' "files": {"presentation": 3}}]',
+     r"scenarios\.json\[0\]: 'files' must map keys to file names"),
+])
+def test_a_malformed_registry_is_a_value_error(corpus_copy, fresh_registry,
+                                               text, error):
+    (corpus_copy / corpus.REGISTRY).write_text(text)
+    with pytest.raises(ValueError, match=error):
+        corpus.load_scenario("pi1-E0-tilde")
 
 
 def test_every_scenario_has_source_claim():

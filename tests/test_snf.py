@@ -5,6 +5,9 @@ from itertools import combinations
 from hypothesis import given, strategies as st
 
 from fpverify import homology_h1, parse_presentation, smith_normal_form
+from fpverify.presentation import abelianized_relation_matrix
+
+from conftest import BADLY_PRESENTED_Z_MODULE
 
 
 def det(m):
@@ -19,6 +22,50 @@ def det(m):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det(minor)
     return total
+
+
+def bareiss_det(m):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def matmul(x, y):
+    return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)]
+            for row in x]
+
+
+def check_smith_form(m):
+    """U*A*V = D with unimodular U and V, a nonnegative diagonal in a
+    divisibility chain, and for square A the diagonal's product |det A|;
+    returns the diagonal."""
+    snf = smith_normal_form(m, transforms=True)
+    u, v, d = snf.row_transform, snf.col_transform, snf.diagonal
+    rows, cols = len(m), len(m[0])
+    assert matmul(matmul(u, m), v) == [
+        [d[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    assert abs(bareiss_det(u)) == 1 and abs(bareiss_det(v)) == 1
+    assert all(x >= 0 for x in d)
+    assert snf.rank == sum(1 for x in d if x)
+    for x, y in zip(d, d[1:]):
+        assert (y % x == 0) if x else y == 0
+    if rows == cols:
+        assert math.prod(d) == abs(bareiss_det(m))
+    assert smith_normal_form(m).diagonal == d
+    return d
 
 
 def minor_gcd_invariants(m, rows, cols):
@@ -66,26 +113,20 @@ def test_empty_and_degenerate():
 
 
 def test_transforms_reconstruct():
-    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    snf = smith_normal_form(m, transforms=True)
-    u, v = snf.row_transform, snf.col_transform
-    n, c = len(m), len(m[0])
-    ua = [[sum(u[i][k] * m[k][j] for k in range(n)) for j in range(c)]
-          for i in range(n)]
-    uav = [[sum(ua[i][k] * v[k][j] for k in range(c)) for j in range(c)]
-           for i in range(n)]
-    for i in range(n):
-        for j in range(c):
-            expected = snf.diagonal[i] if i == j and i < len(snf.diagonal) else 0
-            assert uav[i][j] == expected
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert check_smith_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == \
+        (2, 2, 156)
 
 
-matrices = st.integers(1, 5).flatmap(
-    lambda r: st.integers(1, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-4, 4), min_size=c, max_size=c),
-            min_size=r, max_size=r)))
+def matrices_up_to(size, bound):
+    """Matrices of 1..size rows and columns, entries in [-bound, bound]."""
+    return st.integers(1, size).flatmap(
+        lambda r: st.integers(1, size).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                min_size=r, max_size=r)))
+
+
+matrices = matrices_up_to(5, 4)
 
 
 @given(matrices)
@@ -105,6 +146,17 @@ def test_invariance_under_permutation_and_sign(m):
     assert smith_normal_form(shuffled).diagonal == base
     flipped = [[-x for x in row] for row in m]
     assert smith_normal_form(flipped).diagonal == base
+
+
+@given(matrices_up_to(8, 30))
+def test_transforms_and_divisibility_on_wide_entries(m):
+    check_smith_form(m)
+
+
+def test_badly_presented_module():
+    m = abelianized_relation_matrix(parse_presentation(BADLY_PRESENTED_Z_MODULE))
+    assert abs(bareiss_det(m)) == 10_232_280_156
+    assert check_smith_form(m) == (1, 1, 1, 1, 1, 2, 5116140078)
 
 
 def test_h1_examples():
