@@ -234,10 +234,16 @@ def _splice_moves(relators: tuple[Word, ...]):
     return moves
 
 
+# how many letters longer than the target a word in the search may grow
+_MAX_LENGTH_SLACK = 8
+
+# derive_all's state budget for each pass
+_STATE_BUDGETS = (20_000, 100_000, 400_000)
+
+
 def search_certificate(p: Presentation, target: Word,
                        max_factors: int = 16,
                        max_conjugator_len: int = 24,
-                       max_length_slack: int = 8,
                        max_states: int = 200_000,
                        extra_relators: Sequence[Word] = ()) -> Certificate:
     """Bounded best-first search for a certificate expressing target as a
@@ -255,13 +261,8 @@ def search_certificate(p: Presentation, target: Word,
     outside p.
     """
     p.check_word(target, "target")
-    relators = p.relators + tuple(extra_relators)
-    if not relators:
-        if target.is_identity():
-            return Certificate(target, (), SearchStats(states=1, peak_heap=1))
-        raise NotFound(f"no relators to derive {target}", SearchStats(1, 1))
-    moves = _splice_moves(relators)
-    max_len = len(target) + max_length_slack
+    moves = _splice_moves(p.relators + tuple(extra_relators))
+    max_len = len(target) + _MAX_LENGTH_SLACK
 
     # best-first on (current length, factors used); parents reconstruct the
     # factor list at the end
@@ -801,8 +802,8 @@ def derivation_to_certificate(p: Presentation, d: Derivation,
 
 
 def derive_all(p: Presentation, targets: list[Word],
-               state_budgets: tuple[int, ...] = (20_000, 100_000, 400_000),
-               **search_bounds) -> dict[int, Certificate]:
+               state_budgets: tuple[int, ...] = _STATE_BUDGETS
+               ) -> dict[int, Certificate]:
     """Search certificates for several targets with lemma layering: one
     pass per state budget, in order, retries the unproven targets with all
     already-proven targets available as derived relators; the passes stop
@@ -819,7 +820,7 @@ def derive_all(p: Presentation, targets: list[Word],
                 continue
             try:
                 cert = search_certificate(p, t, max_states=budget,
-                                          extra_relators=extra, **search_bounds)
+                                          extra_relators=extra)
             except NotFound:
                 continue
             cert = Certificate(t, _inline(cert.factors, n, flat))
@@ -836,11 +837,12 @@ def derive_all(p: Presentation, targets: list[Word],
 def check_equivalence(p1: Presentation, p2: Presentation,
                       dictionary: dict[str, Word],
                       certs: dict[int, Certificate] | None = None,
-                      **search_bounds) -> bool:
+                      state_budgets: tuple[int, ...] = _STATE_BUDGETS) -> bool:
     """One-directional consequence check: every relator of p2, translated
     into p1's generators via dictionary, must carry a verified certificate
     over p1's relators.  Supplied certs (keyed by p2 relator index) are
-    verified; missing ones are searched for."""
+    verified; missing ones are searched for by `derive_all` with
+    state_budgets."""
     images = {}  # each letter of p2's relators -> the letters of its image
     for g in {g for r in p2.relators for g in r.generators()}:
         if g not in dictionary:
@@ -864,7 +866,7 @@ def check_equivalence(p1: Presentation, p2: Presentation,
             missing.append(i)
     if missing:
         targets = [translations[i] for i in missing]
-        found = derive_all(p1, targets, **search_bounds)
+        found = derive_all(p1, targets, state_budgets)
         if len(found) != len(targets):
             return False
     return True

@@ -44,17 +44,13 @@ def _max_cosets(flag: int | None) -> int:
     if flag is not None:
         return flag
     env = os.environ.get("FPVERIFY_MAX_COSETS")
-    if env is not None:
-        try:
-            value = int(env)
-            if value < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: FPVERIFY_MAX_COSETS must be a positive integer, "
-                  f"got {env!r}", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT)
-        return value
-    return DEFAULT_MAX_COSETS
+    if env is None:
+        return DEFAULT_MAX_COSETS
+    try:
+        return _int_at_least(1)(env)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: FPVERIFY_MAX_COSETS: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
 
 
 def _int_at_least(minimum: int):

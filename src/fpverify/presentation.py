@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .words import (
+    _GEN_NAME,
     CONVENTION_DEFAULT,
-    GEN_NAME_RE,
     Word,
     check_generator_name,
     commutator,
@@ -143,7 +143,7 @@ _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<int>-?\d+)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_GEN_NAME})"
     r"|(?P<punct>[<>|,=^\[\]()])"
 )
 

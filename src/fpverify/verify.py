@@ -2,11 +2,12 @@
 (parsing, eliminations, certificates, enumeration, homology) and compare the
 outcomes against the frozen expectations.
 
-Reports record the active commutator convention.  Under the default
-convention the frozen certificate artifacts are re-verified; under the
-alternate convention they do not apply (the relator words differ), so
-certificate steps re-derive their witnesses live and the report records
-whatever outcome that produces.
+Reports record the active commutator convention, which picks where a
+witness step's witness comes from: the frozen corpus file under the
+default convention, a live search or collapse under the alternate one,
+where the frozen words do not apply.  One check follows either way: the
+witness must prove the step's target, and its step's `detail` gives its
+size and, for a live witness, the counters of the work that found it.
 """
 
 from __future__ import annotations
@@ -104,19 +105,19 @@ class _Steps:
     def check(self, name: str, ok: bool, **detail) -> bool:
         return self.record(name, "pass" if ok else "fail", **detail)
 
-    def timed(self, name: str, fn, **detail):
+    def timed(self, name: str, fn) -> bool:
+        """Record fn()'s (ok, detail); a NotFound fails the step with its
+        message and counters."""
         try:
-            ok, extra = fn()
+            ok, detail = fn()
         except NotFound as exc:
-            ok, extra = False, _not_found(exc)
-        detail.update(extra)
+            ok, detail = False, {"error": str(exc), **_stats(exc)}
         return self.check(name, ok, **detail)
 
 
-def _not_found(exc: NotFound) -> dict:
-    """A step's detail for exc: its message, and its counters if it has
-    them."""
-    return {"error": str(exc), **(asdict(exc.stats) if exc.stats else {})}
+def _stats(x) -> dict:
+    """The counters of x, a witness or a NotFound, if it has them."""
+    return asdict(x.stats) if x.stats else {}
 
 
 def _expected_h1(expected: dict) -> tuple[int, tuple[int, ...]]:
@@ -184,17 +185,13 @@ def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str,
                          max_cosets: int, strategy: str) -> None:
     base = s.presentation("base", convention=convention)
     target = parse_word(s.expected["target"], convention=convention)
-    if convention == CONVENTION_DEFAULT:
-        cert = s.certificates()[0]
-        steps.check("certificate",
-                    cert.target == target and verify_certificate(base, cert),
-                    factors=len(cert.factors))
-    else:
-        def attempt():
-            cert = search_certificate(base, target)
-            return (verify_certificate(base, cert),
-                    {"factors": len(cert.factors), **asdict(cert.stats)})
-        steps.timed("certificate", attempt)
+
+    def certificate():
+        cert = (s.certificates()[0] if convention == CONVENTION_DEFAULT
+                else search_certificate(base, target))
+        return (cert.target == target and verify_certificate(base, cert),
+                {"factors": len(cert.factors), **_stats(cert)})
+    steps.timed("certificate", certificate)
 
 
 def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
@@ -214,20 +211,13 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
         rest = full.with_relators(
             [r for j, r in enumerate(full.relators) if j != i])
         target = full.relators[i]
-        if derivations is not None:
-            d = derivations[i]
-            ok = d.target == target and verify_derivation(rest, d)
-            detail = {"steps_in_chain": len(d.steps)}
-        else:
-            try:
-                d = derive_by_collapse(rest, target)
-                ok = verify_derivation(rest, d)
-                # with the fresh derivation's collapse counters
-                detail = {"steps_in_chain": len(d.steps), **asdict(d.stats)}
-            except NotFound as exc:
-                ok, detail = False, _not_found(exc)
-        certified += bool(ok)
-        steps.check(f"relator-{i}", bool(ok), **detail)
+
+        def derivation():
+            d = (derivations[i] if derivations is not None
+                 else derive_by_collapse(rest, target))
+            return (d.target == target and verify_derivation(rest, d),
+                    {"steps_in_chain": len(d.steps), **_stats(d)})
+        certified += steps.timed(f"relator-{i}", derivation)
     steps.check("count", certified >= s.expected["redundant_count_at_least"],
                 certified=certified,
                 required=s.expected["redundant_count_at_least"])

@@ -21,7 +21,10 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
-GEN_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# a generator name, as the presentation grammar's tokenizer and the name
+# check both read it
+_GEN_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+GEN_NAME_RE = re.compile(_GEN_NAME + r"\Z")
 
 # Commutator conventions.  DEFAULT expands [u,v] = u v u^-1 v^-1, which is
 # the convention forced by the source material's generator eliminations.
@@ -161,13 +164,6 @@ class Word:
                 and a[k][1] == -a[n - 1 - k][1]:
             k += 1
         return _reduced(a[k:n - k]), _reduced(a[:k])
-
-    def cyclic_permutations(self) -> list["Word"]:
-        """All rotations of a cyclically reduced word (self as given if not)."""
-        n = len(self.letters)
-        if n == 0:
-            return [self]
-        return [Word(self.letters[i:] + self.letters[:i]) for i in range(n)]
 
     # -- printing -----------------------------------------------------------
 

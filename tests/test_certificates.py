@@ -208,6 +208,10 @@ def test_check_equivalence_identity():
     identity = {g: Word.gen(g) for g in p.generators}
     certs = {0: Certificate(p.relators[0], (Factor(Word(), 0, 1),))}
     assert check_equivalence(p, p, identity, certs)
+    # a certificate that verifies, but for the relator's inverse
+    other = Certificate(p.relators[0].inverse(), (Factor(Word(), 0, -1),))
+    assert verify_certificate(p, other)
+    assert not check_equivalence(p, p, identity, {0: other})
 
 
 def test_check_equivalence_wrong_dictionary():

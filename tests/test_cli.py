@@ -79,9 +79,12 @@ def test_tc_env_var_limit(capsys, monkeypatch):
     monkeypatch.setenv("FPVERIFY_MAX_COSETS", "10")
     code, out, _ = run(capsys, "tc", str(corpus_path("pi1-N-full.grp")))
     assert code == 3
-    monkeypatch.setenv("FPVERIFY_MAX_COSETS", "zero")
-    with pytest.raises(SystemExit):
-        run(capsys, "tc", str(corpus_path("pi1-N-full.grp")))
+    for value, reason in (("zero", "not an integer: 'zero'"),
+                          ("0", "must be >= 1, got 0")):
+        monkeypatch.setenv("FPVERIFY_MAX_COSETS", value)
+        code, err = exit_code(capsys, "tc", str(corpus_path("pi1-N-full.grp")))
+        assert code == 2
+        assert err == f"error: FPVERIFY_MAX_COSETS: {reason}\n"
 
 
 def exit_code(capsys, *argv):
@@ -191,6 +194,13 @@ def test_simplify(tmp_path, capsys):
     grp.write_text("< a, b | a b^-1, b^3 >")
     code, out, _ = run(capsys, "simplify", str(grp))
     assert code == 0 and out.strip() == "< a | a^3 >"
+    code, out, _ = run(capsys, "simplify", "--json", str(grp))
+    assert code == 0
+    data = json.loads(out)
+    validate(data["presentation"], "presentation")
+    assert data == {"presentation": {"name": "", "generators": ["a"],
+                                     "relators": [[["a", 1]] * 3]},
+                    "moves": 1}
 
 
 def test_certify_found(tmp_path, capsys):
@@ -328,7 +338,9 @@ def test_closed_stdout_exits_without_a_traceback(argv):
                             text=True)
     proc.stdout.close()  # the reader leaves before the first write
     _, err = proc.communicate(timeout=60)
-    assert "Traceback" not in err
+    # a pipe buffer holds all of verify --all's output, so only a read end
+    # closed before the first write meets the closed pipe every time
+    assert err == ""
     assert proc.returncode == 141
 
 

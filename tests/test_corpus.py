@@ -89,6 +89,13 @@ def test_checksum_mismatch_detected(corpus_copy):
         corpus.verify_checksums()
 
 
+def test_an_unlisted_corpus_file_is_detected(corpus_copy):
+    (corpus_copy / "stray.grp").write_text("< a | a >")
+    with pytest.raises(ValueError, match=re.escape(
+            "corpus manifest out of date: extra=['stray.grp'] missing=[]")):
+        corpus.verify_checksums()
+
+
 def test_replay_checks_the_manifest_first(corpus_copy, capsys):
     # the registry's expectation lowered, as an edit could: the replay
     # fails at its first step, names the file and replays nothing more

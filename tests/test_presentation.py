@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,12 @@ from fpverify import (
     simplify,
 )
 from fpverify.corpus import list_scenarios, load_corpus_presentation
-from fpverify.presentation import MAX_NESTING, MAX_WORD_LENGTH, dedupe_relators
+from fpverify.presentation import (
+    MAX_NESTING,
+    MAX_WORD_LENGTH,
+    DropDuplicateRelator,
+    dedupe_relators,
+)
 
 
 def test_parse_trivial_group():
@@ -67,6 +73,18 @@ def test_parse_errors_carry_location():
         parse_presentation("< a, a | >")  # duplicate generator
     with pytest.raises((ParseError, ValueError)):
         parse_presentation("< a | b >")  # unknown generator
+    with pytest.raises(ValueError, match="duplicate generator"):
+        Presentation(["a", "a"])
+    for parse, text, message in (
+            (parse_presentation, "< a | a", "1:8: expected '>'"),
+            (parse_presentation, "< a | a > b",
+             "1:11: trailing input after presentation"),
+            (parse_presentation, "< 1 | a >", "1:3: expected identifier"),
+            (parse_presentation, "< a | a^b >",
+             "1:9: expected integer exponent"),
+            (parse_word, "a b )", "1:5: trailing input after word")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text)
 
 
 def test_word_length_bound():
@@ -222,6 +240,13 @@ def test_dedupe_relators():
     p = parse_presentation("< a, b | a b, b^-1 a^-1, b a >")  # same class
     out, moves = dedupe_relators(p)
     assert len(out.relators) == 1 and len(moves) == 2
+    # simplify records the drops, and replaying them reproduces its output
+    p = parse_presentation(
+        "< a, b | a^2, a^-2, b a b^-1 a^-1, a b a^-1 b^-1, b^3 >")
+    out, moves = simplify(p)
+    assert moves == [DropDuplicateRelator(1), DropDuplicateRelator(3)]
+    assert len(out.relators) == 3
+    assert replay_moves(p, moves) == out
 
 
 def test_abelianized_matrix_examples():

@@ -4,7 +4,16 @@ from collections import Counter
 import pytest
 
 import fpverify.corpus as corpus
-from fpverify import NotFound, run_all, verify
+from fpverify import (
+    Certificate,
+    Derivation,
+    Factor,
+    NotFound,
+    Word,
+    run_all,
+    verify,
+    verify_certificate,
+)
 from fpverify.corpus import Scenario, list_scenarios
 
 
@@ -114,6 +123,36 @@ def test_a_failed_derivation_reports_its_error(monkeypatch):
     for step in relators:
         assert step.status == "fail"
         assert step.detail == {"error": "no chain within the limit"}
+    assert report.status == "fail"
+
+
+def test_a_witness_for_another_word_fails_its_step(monkeypatch):
+    # each witness below verifies over its presentation, but proves one of
+    # its relators rather than the step's target
+    def proves_a_relator(p):
+        return Certificate(p.relators[0], (Factor(Word(), 0, 1),))
+
+    s = corpus.load_scenario("derive-qc-commute")
+    cert = proves_a_relator(s.presentation("base"))
+    assert verify_certificate(s.presentation("base"), cert)
+    monkeypatch.setattr(Scenario, "certificates", lambda self: {0: cert})
+    report = verify.run_scenario("derive-qc-commute")
+    step = next(x for x in report.steps if x.name == "certificate")
+    assert (step.status, step.detail) == ("fail", {"factors": 1})
+
+    s = corpus.load_scenario("redundancy-nine")
+    full = s.presentation()
+    chains = {}
+    for i in s.expected["certified_indices"]:
+        step = proves_a_relator(full.with_relators(
+            [r for j, r in enumerate(full.relators) if j != i]))
+        chains[i] = Derivation(step.target, (step,))
+    monkeypatch.setattr(Scenario, "derivations", lambda self: chains)
+    report = verify.run_scenario("redundancy-nine")
+    relators = [x for x in report.steps if x.name.startswith("relator-")]
+    assert len(relators) == len(chains)
+    for step in relators:
+        assert (step.status, step.detail) == ("fail", {"steps_in_chain": 1})
     assert report.status == "fail"
 
 

@@ -166,13 +166,6 @@ def test_pow(w, n):
     assert w ** n == expected
 
 
-@given(words)
-def test_cyclic_permutations_same_class(w):
-    core, _ = w.cyclic_reduce()
-    for rot in core.cyclic_permutations():
-        assert len(rot) == len(core)
-
-
 # -- fast paths against full reduction ----------------------------------------
 #
 # Products, inverses and conjugates of reduced words cancel only at seams and
