@@ -22,7 +22,8 @@ from operator import itemgetter
 
 from .coset import CosetTable, _add_cycles, _run
 from .presentation import Presentation
-from .words import _IDENTITY, GEN_NAME_RE, Word, _product, _reduced
+from .words import (Word, _fields, _list, _product, _reduced,
+                    _word_from_json)
 
 
 @dataclass(frozen=True)
@@ -68,23 +69,6 @@ class Certificate:
         return _certificate_from_json(data, {})
 
 
-def _fields(data, what: str, get):
-    """get(data) for an itemgetter get; ValueError unless data is a JSON
-    object holding every key get reads."""
-    if type(data) is not dict:
-        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
-    try:
-        return get(data)
-    except KeyError as e:
-        raise ValueError(f"{what} has no {e.args[0]!r} field") from None
-
-
-def _list(data, what: str) -> list:
-    if type(data) is not list:
-        raise ValueError(f"{what} must be a list, got {type(data).__name__}")
-    return data
-
-
 _CERTIFICATE_FIELDS = itemgetter("target", "factors")
 _FACTOR_FIELDS = itemgetter("conjugator", "relator", "sign")
 _DERIVATION_FIELDS = itemgetter("target", "steps")
@@ -109,46 +93,6 @@ def _certificate_from_json(data, names: dict) -> Certificate:
         except ValueError as e:
             raise ValueError(f"factors[{i}]: {e}") from None
     return Certificate(target, tuple(out))
-
-
-def _word_from_json(pairs, names: dict, what: str = "word") -> Word:
-    """A JSON word checked and freely reduced in one pass over its letters.
-
-    Each letter must be a 2-element list of a generator name and an
-    exponent 1 or -1 (a JSON bool is not an integer).  names maps every
-    generator name already checked, in this call or earlier ones on the
-    same document, to its two letters: a name is matched against
-    GEN_NAME_RE once, the letters of a document are shared tuples, and
-    the reduction cancels a letter against the stack's top by identity."""
-    if not _list(pairs, what):
-        return _IDENTITY
-    stack: list = []
-    push, pop = stack.append, stack.pop
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2:
-            raise _bad_letter(what, pair)
-        name, exp = pair
-        if type(exp) is not int or (exp != 1 and exp != -1):
-            raise _bad_letter(what, pair)
-        try:
-            pos, neg = names[name]
-        except (KeyError, TypeError):  # unseen, or not even hashable
-            if type(name) is not str or not GEN_NAME_RE.match(name):
-                raise _bad_letter(what, pair) from None
-            pos, neg = names[name] = ((name, 1), (name, -1))
-        if exp == 1:
-            letter, inverse = pos, neg
-        else:
-            letter, inverse = neg, pos
-        if stack and stack[-1] is inverse:
-            pop()
-        else:
-            push(letter)
-    return _reduced(tuple(stack))
-
-
-def _bad_letter(what: str, pair) -> ValueError:
-    return ValueError(f"{what} letter must be [name, 1 or -1], got {pair!r}")
 
 
 class NotFound(Exception):

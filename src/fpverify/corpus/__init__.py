@@ -144,6 +144,13 @@ def _manifest() -> dict[str, str]:
     return manifest
 
 
+def _in_manifest(path: Path) -> bool:
+    """Whether the manifest pins the file at path: every file in the
+    corpus directory but the manifest itself and the package's code."""
+    return (path.is_file() and path.name not in (MANIFEST, "__init__.py")
+            and path.suffix != ".pyc")
+
+
 def _mismatches(names, manifest: dict[str, str]) -> list[str]:
     """A message for each of the files names whose SHA-256 differs from
     the manifest's digest, or which is missing from the corpus or from
@@ -178,9 +185,7 @@ def verify_checksums() -> None:
     mismatches = _mismatches(sorted(manifest), manifest)
     if mismatches:
         raise ValueError(mismatches[0])
-    on_disk = {p.name for p in CORPUS_DIR.iterdir()
-               if p.is_file() and p.name not in (MANIFEST, "__init__.py")
-               and not p.name.endswith(".pyc")}
+    on_disk = {p.name for p in CORPUS_DIR.iterdir() if _in_manifest(p)}
     extra = on_disk - set(manifest)
     missing = set(manifest) - on_disk
     if extra or missing:

@@ -2,7 +2,7 @@
 and Tietze transformations (generator elimination, relator simplification).
 
 Grammar (whitespace-insensitive, ``#`` line comments, optional ``name:``
-header line in files)::
+header lines in files)::
 
     presentation := "<" genlist "|" rellist ">"
     genlist      := ident ("," ident)*
@@ -14,24 +14,35 @@ header line in files)::
 
 Relations ``w = v`` are normalized to the relator ``w v^-1``; commutators
 are expanded according to the active convention; relators are stored
-cyclically reduced, with trivial ones dropped.  No word the parser builds
-may exceed ``MAX_WORD_LENGTH`` letters; a power is checked before it is
-expanded, so one short line cannot exhaust memory.  Brackets, round and
-square, nest at most ``MAX_NESTING`` deep, so that the recursive descent
-never runs out of stack.
+cyclically reduced, with trivial ones dropped.
+
+Parsing is one pass, linear in the text: a word's terms are multiplied
+on one letter stack, and a presentation's generator names are checked as
+each name is read.  A parse error points at the offending token, and an
+error at the end of input just past the last token.  No word the parser
+builds may exceed ``MAX_WORD_LENGTH`` letters, once freely reduced; a
+power is checked before it is expanded, so one short line cannot exhaust
+memory.  Brackets, round and square, nest at most ``MAX_NESTING`` deep,
+so that the recursive descent never runs out of stack.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .words import (
     _GEN_NAME,
     CONVENTION_DEFAULT,
+    GEN_NAME_RE,
     Word,
+    _fields,
+    _list,
+    _multiply,
+    _reduced,
+    _word_from_json,
     check_generator_name,
     commutator,
 )
@@ -133,168 +144,182 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict) -> "Presentation":
-        rels = [Word([(g, e) for g, e in r]) for r in data["relators"]]
-        return Presentation(data["generators"], rels, name=data.get("name", ""))
+        """Load a presentation, checking JSON types as the presentation
+        schema does; raises ValueError naming the field on any malformed
+        document."""
+        name, gens, rels = _fields(data, "presentation", _PRESENTATION_FIELDS)
+        if type(name) is not str:
+            raise ValueError(f"name must be a string, got {name!r}")
+        for k, g in enumerate(_list(gens, "generators")):
+            if type(g) is not str or not GEN_NAME_RE.match(g):
+                raise ValueError(f"generators[{k}] must be a generator name, "
+                                 f"got {g!r}")
+        return Presentation(gens, [
+            _word_from_json(r, {}, f"relators[{k}]")
+            for k, r in enumerate(_list(rels, "relators"))], name=name)
+
+
+_PRESENTATION_FIELDS = itemgetter("name", "generators", "relators")
 
 
 # -- parsing ----------------------------------------------------------------
 
+# one token: whitespace and comments match no named group and are skipped,
+# and `bad` is any character no token starts with
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
+    r"\s+|#[^\n]*"
     r"|(?P<int>-?\d+)"
     rf"|(?P<ident>{_GEN_NAME})"
     r"|(?P<punct>[<>|,=^\[\]()])"
+    r"|(?P<bad>.)"
 )
 
+# a `name:` header line, up to its newline
+_HEADER_RE = re.compile(r"^[^\S\n]*name:(.*)", re.MULTILINE)
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
-            value = m.group()
-            if kind not in ("ws", "comment"):
-                self.tokens.append((kind, value, line, col))
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
-            pos = m.end()
-        self.tokens.append(("eof", "", line, col))
+
+class _Parser:
+    """Recursive descent over the tokens of one text.  A token is
+    (kind, value, offset); an error's line and column are computed from
+    its offset only when it is raised."""
+
+    def __init__(self, text: str, convention: str):
+        self.text = text
+        self.tokens = [(m.lastgroup, m.group(), m.start())
+                       for m in _TOKEN_RE.finditer(text) if m.lastgroup]
+        for kind, value, offset in self.tokens:
+            if kind == "bad":
+                raise self.error(f"unexpected character {value!r}", offset)
+        # end of input sits just past the last token
+        _, value, offset = self.tokens[-1] if self.tokens else ("", "", 0)
+        self.tokens.append(("eof", "", offset + len(value)))
         self.i = 0
+        self.convention = convention
+        self.gens: set[str] | None = None  # the names an atom may use
+        self.depth = 0  # brackets open around the current atom
 
-    def peek(self) -> tuple[str, str, int, int]:
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at offset into the text."""
+        return ParseError(message, self.text.count("\n", 0, offset) + 1,
+                          offset - self.text.rfind("\n", 0, offset))
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def next(self) -> tuple[str, str, int, int]:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def expect(self, value: str) -> None:
-        kind, val, line, col = self.next()
+        _, val, offset = self.next()
         if val != value:
-            raise ParseError(f"expected {value!r}, got {val or 'end of input'!r}", line, col)
+            raise self.error(
+                f"expected {value!r}, got {val or 'end of input'!r}", offset)
 
-    def error(self, message: str) -> ParseError:
-        _, _, line, col = self.peek()
-        return ParseError(message, line, col)
-
-
-class _Parser:
-    def __init__(self, text: str, convention: str):
-        self.toks = _Tokenizer(text)
-        self.convention = convention
-        self.depth = 0  # brackets open around the current atom
-
-    def parse_presentation(self, name: str = "") -> Presentation:
-        self.toks.expect("<")
-        gens = [self._ident()]
-        while self.toks.peek()[1] == ",":
-            self.toks.next()
-            gens.append(self._ident())
-        if len(set(gens)) != len(gens):
-            raise self.toks.error("duplicate generator name")
-        self.toks.expect("|")
-        relators: list[Word] = []
-        if self.toks.peek()[1] != ">":
-            relators.append(self._relation())
-            while self.toks.peek()[1] == ",":
-                self.toks.next()
-                relators.append(self._relation())
-        self.toks.expect(">")
-        if self.toks.peek()[0] != "eof":
-            raise self.toks.error("trailing input after presentation")
-        gen_set = set(gens)
-        for r in relators:
-            unknown = r.generators() - gen_set
-            if unknown:
-                raise self.toks.error(
-                    f"relator {r} uses unknown generator(s) {sorted(unknown)}")
+    def parse_presentation(self, name: str) -> Presentation:
+        self.expect("<")
+        self.gens = set()
+        gens = self._separated(self._generator)
+        self.expect("|")
+        relators = ([] if self.peek()[1] == ">"
+                    else self._separated(self._relation))
+        self.expect(">")
+        if self.peek()[0] != "eof":
+            raise self.error("trailing input after presentation",
+                             self.peek()[2])
         return Presentation(gens, relators, name=name)
 
     def parse_word(self) -> Word:
         w = self._word()
-        if self.toks.peek()[0] != "eof":
-            raise self.toks.error("trailing input after word")
+        if self.peek()[0] != "eof":
+            raise self.error("trailing input after word", self.peek()[2])
         return w
 
-    def _ident(self) -> str:
-        kind, val, line, col = self.toks.next()
+    def _separated(self, item) -> list:
+        """item() read once, and once more after each comma."""
+        out = [item()]
+        while self.peek()[1] == ",":
+            self.i += 1
+            out.append(item())
+        return out
+
+    def _generator(self) -> str:
+        kind, val, offset = self.next()
         if kind != "ident":
-            raise ParseError(f"expected identifier, got {val or 'end of input'!r}", line, col)
+            raise self.error(
+                f"expected identifier, got {val or 'end of input'!r}", offset)
+        if val in self.gens:
+            raise self.error("duplicate generator name", offset)
+        self.gens.add(val)
         return val
 
     def _relation(self) -> Word:
         left = self._word()
-        if self.toks.peek()[1] == "=":
-            _, _, line, col = self.toks.next()
-            right = self._word()
-            return self._bounded(left * right.inverse(), line, col)
-        return left
+        if self.peek()[1] != "=":
+            return left
+        offset = self.next()[2]
+        return self._bounded(left * self._word().inverse(), offset)
 
     def _word(self) -> Word:
-        if self.toks.peek()[1] == "1":
-            self.toks.next()
+        if self.peek()[1] == "1":
+            self.i += 1
             return Word.identity()
-        w = self._term()
-        while self.toks.peek()[0] in ("ident",) or self.toks.peek()[1] in ("[", "("):
-            _, _, line, col = self.toks.peek()
-            w = self._bounded(w * self._term(), line, col)
-        return w
+        stack = list(self._term().letters)
+        while True:
+            kind, val, offset = self.peek()
+            if kind != "ident" and val not in ("[", "("):
+                return _reduced(tuple(stack))
+            _multiply(stack, (self._term().letters,))
+            self._bounded(stack, offset)
 
     def _term(self) -> Word:
         atom = self._atom()
-        if self.toks.peek()[1] == "^":
-            self.toks.next()
-            kind, val, line, col = self.toks.next()
-            if kind != "int":
-                raise ParseError(f"expected integer exponent, got {val!r}", line, col)
-            try:
-                n = int(val)
-            except ValueError:  # more digits than int() converts
-                n = None
-            if n is None or len(atom) * abs(n) > MAX_WORD_LENGTH:
-                raise ParseError(f"exponent expands a {len(atom)}-letter word "
-                                 f"past {MAX_WORD_LENGTH} letters", line, col)
-            return atom ** n
-        return atom
+        if self.peek()[1] != "^":
+            return atom
+        self.i += 1
+        kind, val, offset = self.next()
+        if kind != "int":
+            raise self.error(f"expected integer exponent, got "
+                             f"{val or 'end of input'!r}", offset)
+        try:
+            n = int(val)
+        except ValueError:  # more digits than int() converts
+            n = None
+        if n is None or len(atom) * abs(n) > MAX_WORD_LENGTH:
+            raise self.error(f"exponent expands a {len(atom)}-letter word "
+                             f"past {MAX_WORD_LENGTH} letters", offset)
+        return atom ** n
 
-    @staticmethod
-    def _bounded(w: Word, line: int, col: int) -> Word:
+    def _bounded(self, w, offset: int):
+        """w, a word or a letter stack, unless it is longer than
+        MAX_WORD_LENGTH letters."""
         if len(w) > MAX_WORD_LENGTH:
-            raise ParseError(f"word longer than {MAX_WORD_LENGTH} letters", line, col)
+            raise self.error(f"word longer than {MAX_WORD_LENGTH} letters",
+                             offset)
         return w
 
     def _atom(self) -> Word:
-        kind, val, line, col = self.toks.peek()
+        kind, val, offset = self.next()
         if kind == "ident":
-            self.toks.next()
-            return Word.gen(val)
+            if self.gens is not None and val not in self.gens:
+                raise self.error(f"unknown generator {val!r}", offset)
+            return _reduced(((val, 1),))
         if val not in ("[", "("):
-            raise ParseError(
-                f"expected word atom, got {val or 'end of input'!r}", line, col)
+            raise self.error(
+                f"expected word atom, got {val or 'end of input'!r}", offset)
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"brackets nested more than {MAX_NESTING} deep", line, col)
-        self.toks.next()
+            raise self.error(
+                f"brackets nested more than {MAX_NESTING} deep", offset)
         self.depth += 1
         w = self._word()
         if val == "[":
-            self.toks.expect(",")
+            self.expect(",")
             w = self._bounded(commutator(w, self._word(), self.convention),
-                              line, col)
-            self.toks.expect("]")
+                              offset)
+            self.expect("]")
         else:
-            self.toks.expect(")")
+            self.expect(")")
         self.depth -= 1
         return w
 
@@ -306,16 +331,14 @@ def parse_word(text: str, convention: str = CONVENTION_DEFAULT) -> Word:
 
 def parse_presentation(text: str, convention: str = CONVENTION_DEFAULT,
                        name: str = "") -> Presentation:
-    """Parse presentation text, honoring an optional ``name:`` header line."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("name:"):
-            name = stripped[len("name:"):].strip()
-            lines.append("")
-        else:
-            lines.append(raw)
-    return _Parser("\n".join(lines) if lines else text, convention).parse_presentation(name)
+    """Parse presentation text.  A ``name:`` header line, which ends at
+    the next ``\n``, names the presentation, the last one if there are
+    several, and is read as a blank line."""
+    headers = _HEADER_RE.findall(text)
+    if headers:
+        name = headers[-1].strip()
+        text = _HEADER_RE.sub("", text)
+    return _Parser(text, convention).parse_presentation(name)
 
 
 def print_presentation(p: Presentation) -> str:
@@ -361,9 +384,10 @@ def _defining_forms(relator: Word, gen: str) -> Word | None:
 
 def _shortest_defining_relator(p: Presentation, gen: str) -> int | None:
     """Index of the shortest relator defining gen, the first among equals;
-    None when no relator defines it."""
+    None when no relator defines it.  A relator defines gen when it holds
+    gen exactly once."""
     found = [(len(r), i) for i, r in enumerate(p.relators)
-             if _defining_forms(r, gen) is not None]
+             if r.count(gen) == 1]
     return min(found)[1] if found else None
 
 
@@ -431,8 +455,7 @@ def simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, list[Ti
     current = p
     while budget > 0:
         current, dropped = dedupe_relators(current)
-        if dropped:
-            moves.extend(dropped)
+        moves.extend(dropped)
         best: tuple[int, int, str, int] | None = None
         for pos, gen in enumerate(current.generators):
             i = _shortest_defining_relator(current, gen)

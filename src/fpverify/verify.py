@@ -39,7 +39,7 @@ from .presentation import (
     print_presentation,
 )
 from .snf import homology_h1
-from .words import CONVENTION_DEFAULT
+from .words import CONVENTION_DEFAULT, Word
 
 
 @dataclass
@@ -169,7 +169,7 @@ def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
                 current == frozen_raw,
                 generators=list(current.generators),
                 relators=len(current.relators))
-    identity = {g: parse_word(g) for g in full.generators}
+    identity = {g: Word.gen(g) for g in full.generators}
     if convention == CONVENTION_DEFAULT:
         fwd = s.certificates("full_from_raw")
         bwd = s.certificates("raw_from_full")

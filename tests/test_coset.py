@@ -664,6 +664,45 @@ def test_validate_rejects_an_entry_into_a_dead_coset():
         ct.validate()
 
 
+def test_validate_rejects_each_corruption_of_a_completed_table():
+    s3 = parse_presentation("< a, b | a^2, b^3, (a b)^2 >")
+
+    def completed(p, subgroup=()):
+        ct = enumerate_cosets(p, subgroup).table
+        ct.validate()
+        return ct
+
+    ct = completed(s3)
+    ct.table[ct.col[("b", 1)]][0] = None
+    with pytest.raises(AssertionError, match="incomplete entry"):
+        ct.validate()
+    # b sends coset 0 to another live coset, which b^-1 does not send back
+    ct = completed(s3)
+    col = ct.table[ct.col[("b", 1)]]
+    col[0] = next(c for c in ct.live_cosets() if c != col[0])
+    with pytest.raises(AssertionError, match="involution broken"):
+        ct.validate()
+    assert not ct.check_involution()
+    # a acts as a transposition, consistently with a^-1, where a^3 = 1
+    ct = completed(parse_presentation("< a | a^3 >"))
+    for letter in (("a", 1), ("a", -1)):
+        ct.table[ct.col[letter]][:3] = [1, 0, 2]
+    with pytest.raises(AssertionError, match="relator open at coset 0"):
+        ct.validate()
+    # the cosets of <a> with coset 0 swapped for one that a moves: every
+    # relator still closes, but a no longer fixes coset 0
+    ct = completed(s3, (Word.gen("a"),))
+    beta = next(c for c in ct.live_cosets()
+                if ct.table[ct.col[("a", 1)]][c] != c)
+    swap = {0: beta, beta: 0}
+    for col in ct.table:
+        old = list(col)
+        for c in ct.live_cosets():
+            col[swap.get(c, c)] = swap.get(old[c], old[c])
+    with pytest.raises(AssertionError, match="subgroup generator moves"):
+        ct.validate()
+
+
 def test_bad_inputs():
     p = parse_presentation("< a | a^3 >")
     for strategy in ("nonsense", "hlt-lookahead"):

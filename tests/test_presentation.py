@@ -1,6 +1,9 @@
 import random
 import re
+import subprocess
+import sys
 
+import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +28,8 @@ from fpverify.presentation import (
     DropDuplicateRelator,
     dedupe_relators,
 )
+
+from conftest import schema
 
 
 def test_parse_trivial_group():
@@ -123,6 +128,56 @@ def test_nesting_bound():
                     parse(text)
                 assert (exc.value.line, exc.value.column) == (line, col)
                 assert f"nested more than {n} deep" in str(exc.value)
+
+
+def test_parse_errors_point_at_the_offending_token():
+    for text, message in (
+            # an unknown name where it is read, not at the end of input
+            ("< a, b | a z b,\n b^2 >", "1:12: unknown generator 'z'"),
+            # a repeated generator at the repetition, not at the "|"
+            ("< a, a | a >", "1:6: duplicate generator name"),
+            # the end of input just past the last token, whatever follows it
+            ("< a | a\n", "1:8: expected '>', got 'end of input'"),
+            ("< a | a # open\n\n", "1:8: expected '>', got 'end of input'"),
+            ("< a | a^\n", "1:9: expected integer exponent, "
+                           "got 'end of input'")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_presentation(text)
+
+
+def test_a_power_of_the_identity_is_the_identity():
+    # however large the exponent: the identity expands to no letters
+    huge = "9" * 30
+    for text in (f"(1)^{huge}", f"(a a^-1)^-{huge}", f"[a, a]^{huge}"):
+        assert parse_word(text).is_identity()
+    assert Word.identity() ** int(huge) == Word.identity()
+
+
+def test_name_headers_in_a_crlf_file():
+    # the last header wins, also after the presentation, and \r\n line
+    # ends read as \n ones
+    text = ("# a comment\r\nname: first\r\n< a, b |\r\n  a b a^-1 b^-1\r\n"
+            ">\r\n  name:  second \r\n")
+    p = parse_presentation(text, name="ignored")
+    assert p.name == "second"
+    assert p == parse_presentation("< a, b | [a, b] >")
+    assert parse_presentation(text.replace("\r\n", "\n")).name == "second"
+    # a header reads as a blank line, so the lines below keep their numbers
+    with pytest.raises(ParseError, match=re.escape("3:4: unknown generator")):
+        parse_presentation("name: x\r\n< a, b |\r\n a z >\r\n")
+
+
+def test_a_word_at_the_length_bound_parses_in_linear_time():
+    # in a subprocess with a timeout, so that a quadratic parse fails the
+    # test instead of hanging it
+    code = ("from fpverify import parse_word; "
+            f"print(len(parse_word('a ' * {MAX_WORD_LENGTH})))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{MAX_WORD_LENGTH}\n"
+    # the bound is on the freely reduced word
+    assert parse_word(f"a^{MAX_WORD_LENGTH} a^-{MAX_WORD_LENGTH}").is_identity()
 
 
 def test_trivial_relator_dropped():
@@ -260,6 +315,47 @@ def test_abelianized_matrix_examples():
 def test_json_round_trip():
     p = load_corpus_presentation("pi1-N-full.grp")
     assert Presentation.from_json(p.to_json()) == p
+
+
+def test_from_json_rejects_a_malformed_document():
+    good = parse_presentation("< a, b | a b^2 >").to_json()
+    # each rejected by the schema too, with the field the error names
+    for bad, field in (
+            ([], "presentation"),
+            ({"name": "", "generators": ["a"]}, "'relators'"),
+            ({"generators": ["a"], "relators": []}, "'name'"),
+            ({**good, "name": 7}, "name"),
+            ({**good, "generators": "ab"}, "generators"),
+            ({**good, "generators": ["a", 7]}, "generators[1]"),
+            ({**good, "generators": ["a", "1b"]}, "generators[1]"),
+            ({**good, "relators": "a"}, "relators"),
+            ({**good, "relators": [[["a", True]]]}, "relators[0]"),
+            ({**good, "relators": [[], [["a", 2]]]}, "relators[1]"),
+            ({**good, "relators": [[["a", 1, 1]]]}, "relators[0]")):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema("presentation"))
+        with pytest.raises(ValueError, match=re.escape(field)):
+            Presentation.from_json(bad)
+    # an integral float, which JSON Schema lets stand for an integer
+    with pytest.raises(ValueError, match=re.escape("relators[0]")):
+        Presentation.from_json({**good, "relators": [[["a", 1.0]]]})
+    # a relator over a name that is not a generator, as the constructor
+    # rejects it
+    with pytest.raises(ValueError, match="unknown generators"):
+        Presentation.from_json({**good, "relators": [[["c", 1]]]})
+
+
+def test_tietze_moves_reject_what_they_cannot_do():
+    p = parse_presentation("< a, b | a b^-1 >")
+    with pytest.raises(ValueError, match="'z' is not a generator"):
+        eliminate_generator(p, "z")
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        simplify(p, budget=-1)
+    out, moves = simplify(p)
+    assert replay_moves(p, moves) == out
+    # relator 0 still defines b, but as a^2 where the move recorded a
+    with pytest.raises(ValueError, match="replay mismatch eliminating b"):
+        replay_moves(parse_presentation("< a, b | a^2 b^-1 >"), moves)
 
 
 # -- Tietze soundness (abelian shadow) ---------------------------------------

@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from fpverify import homology_h1, parse_presentation, smith_normal_form
@@ -110,6 +111,11 @@ def test_empty_and_degenerate():
     assert smith_normal_form([]).diagonal == ()
     assert smith_normal_form([[5]]).diagonal == (5,)
     assert smith_normal_form([[-5]]).diagonal == (5,)
+
+
+def test_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        smith_normal_form([[1, 2], [3]])
 
 
 def test_transforms_reconstruct():

@@ -40,7 +40,8 @@ from fpverify import (  # noqa: E402
     Derivation, Presentation, Scenario, derive_all, derive_by_collapse,
     eliminate_generator, list_scenarios, parse_presentation, parse_word,
     search_certificate, verify_certificate, verify_derivation)
-from fpverify.corpus import MANIFEST, REGISTRY, corpus_path  # noqa: E402
+from fpverify.corpus import (  # noqa: E402
+    MANIFEST, REGISTRY, _in_manifest, corpus_path)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "corpus"
 
@@ -48,9 +49,6 @@ CORPUS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "corpus"
 # scenario names is a source
 DERIVED = ("eliminated", "full_from_raw", "raw_from_full", "certificates",
            "derivations")
-
-# derive_all's search budgets for the equivalence certificates
-STATE_BUDGETS = (20_000, 100_000, 800_000)
 
 # certified relators whose derivation is one certificate from a direct
 # splice search; the collapse would give chains of about 11 steps there
@@ -103,7 +101,7 @@ def build_elimination(s: Scenario) -> None:
 
     for key, p, q in (("full_from_raw", raw, massaged),
                       ("raw_from_full", massaged, raw)):
-        certs = derive_all(p, list(q.relators), state_budgets=STATE_BUDGETS)
+        certs = derive_all(p, list(q.relators))
         # derive_all verifies each certificate it returns
         assert sorted(certs) == list(range(len(q.relators))), sorted(certs)
         freeze(s.files[key], certs)
@@ -154,12 +152,9 @@ def main() -> None:
             if field in s.expected:
                 build(s)
 
-    manifest = {}
-    for path in sorted(CORPUS.iterdir()):
-        if (path.is_file() and path.name not in (MANIFEST, "__init__.py")
-                and path.suffix != ".pyc"):
-            manifest[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    write_json(MANIFEST, manifest)
+    write_json(MANIFEST, {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(CORPUS.iterdir()) if _in_manifest(path)})
 
 
 if __name__ == "__main__":
