@@ -5,15 +5,23 @@ Layout: ``<id>.grp`` presentation files in the textual grammar,
 ``scenarios.json`` registering every scenario with its expected outcome and
 the verbatim source claim it reproduces, ``*.certs.json`` /
 ``*.derivations.json`` frozen witnesses, and ``manifest.json`` pinning a
-sha256 per file so silent edits fail loudly: a scenario's replay checks
-its files against it first.
+sha256 per file so silent edits fail loudly.
+
+A replay works from one checked snapshot of the corpus: it reads the
+manifest once, reads and hashes each file the first time a scenario
+names it (`read_checked`), and parses or decodes only those checked
+bytes, each presentation once per convention.  A file that differs from
+its digest is never parsed, and no file is read again after its check.
+The snapshot lives for one run; nothing is cached between runs.  A
+scenario from `load_scenario` outside a replay reads its files on each
+call, unchecked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -35,34 +43,41 @@ class Scenario:
     expected: dict
     source_claim: str
     source_location: str
+    # the snapshot a replay's loaders read through; None reads the file
+    # on each call, unchecked
+    _snapshot: _Snapshot | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     def presentation(self, key: str = "presentation",
                      convention: str = CONVENTION_DEFAULT) -> Presentation:
-        return load_corpus_presentation(self.files[key], convention=convention)
+        if self._snapshot is None:
+            return load_corpus_presentation(self.files[key],
+                                            convention=convention)
+        return self._snapshot.presentation(self.files[key], convention)
 
     def certificates(self, key: str = "certificates") -> dict[int, Certificate]:
-        return _load_witnesses(self.files[key], Certificate.from_json)
+        return self._witnesses(key, Certificate.from_json)
 
     def derivations(self, key: str = "derivations") -> dict[int, Derivation]:
-        return _load_witnesses(self.files[key], Derivation.from_json)
+        return self._witnesses(key, Derivation.from_json)
 
-
-def _load_witnesses(name: str, from_json) -> dict:
-    """A frozen ``{index: witness}`` file, each witness read by
-    from_json; raises ValueError naming the file, and the key, on a
-    malformed one."""
-    with open(corpus_path(name), encoding="utf-8") as fh:
-        data = json.load(fh)
-    if type(data) is not dict:
-        raise ValueError(f"{name}: must be an object keyed by relator index, "
-                         f"got {type(data).__name__}")
-    out = {}
-    for k, v in data.items():
-        try:
-            out[int(k)] = from_json(v)
-        except ValueError as e:
-            raise ValueError(f"{name}[{k!r}]: {e}") from None
-    return out
+    def _witnesses(self, key: str, from_json) -> dict:
+        """The frozen ``{index: witness}`` file under key, each witness
+        read by from_json; raises ValueError naming the file, and the
+        key, on a malformed one."""
+        name = self.files[key]
+        data = json.loads(_read(name) if self._snapshot is None
+                          else self._snapshot.data(name))
+        if type(data) is not dict:
+            raise ValueError(f"{name}: must be an object keyed by relator "
+                             f"index, got {type(data).__name__}")
+        out = {}
+        for k, v in data.items():
+            try:
+                out[int(k)] = from_json(v)
+            except ValueError as e:
+                raise ValueError(f"{name}[{k!r}]: {e}") from None
+        return out
 
 
 def corpus_path(name: str) -> Path:
@@ -72,10 +87,16 @@ def corpus_path(name: str) -> Path:
     return path
 
 
+def _read(name: str) -> bytes:
+    """The bytes of corpus file name; every read of the corpus is one
+    call of this."""
+    return corpus_path(name).read_bytes()
+
+
 def load_corpus_presentation(name: str,
                              convention: str = CONVENTION_DEFAULT) -> Presentation:
-    with open(corpus_path(name), encoding="utf-8") as fh:
-        return parse_presentation(fh.read(), convention=convention)
+    return parse_presentation(_read(name).decode("utf-8"),
+                              convention=convention)
 
 
 # each registry entry's fields with their types
@@ -88,11 +109,10 @@ _ENTRY_FIELDS = {"id": str, "description": str, "files": dict,
 def _registry() -> dict[str, Scenario]:
     """The registered scenarios by id; raises ValueError naming the
     registry when it is not JSON or an entry is malformed."""
-    with open(corpus_path(REGISTRY), encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except ValueError as e:
-            raise ValueError(f"{REGISTRY}: not JSON: {e}") from None
+    try:
+        entries = json.loads(_read(REGISTRY))
+    except ValueError as e:
+        raise ValueError(f"{REGISTRY}: not JSON: {e}") from None
     if type(entries) is not list:
         raise ValueError(f"{REGISTRY}: must be a list of scenario entries, "
                          f"got {type(entries).__name__}")
@@ -128,20 +148,94 @@ def load_scenario(scenario_id: str) -> Scenario:
     return registry[scenario_id]
 
 
-def file_sha256(name: str) -> str:
-    return hashlib.sha256(corpus_path(name).read_bytes()).hexdigest()
+def read_checked(name: str, digest: str | None) -> bytes:
+    """The bytes of corpus file name, read once and hashed; raises
+    ValueError with the mismatch message when the file is missing or its
+    SHA-256 is not digest (None for a file the manifest does not pin)."""
+    try:
+        data = _read(name)
+    except FileNotFoundError as e:
+        raise ValueError(str(e)) from None
+    actual = hashlib.sha256(data).hexdigest()
+    if actual != digest:
+        raise ValueError(f"corpus file {name} checksum mismatch: "
+                         f"{actual} != {digest}")
+    return data
 
 
 def _manifest() -> dict[str, str]:
     """The manifest's digests by file name; raises ValueError unless it
     holds an object of name -> digest strings."""
-    with open(corpus_path(MANIFEST), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(_read(MANIFEST))
     if type(manifest) is not dict or not all(
             type(d) is str for d in manifest.values()):
         raise ValueError(f"{MANIFEST} must hold an object of file name -> "
                          f"sha256 strings")
     return manifest
+
+
+class _Snapshot:
+    """One run's checked view of the corpus: the manifest read once, each
+    file's checked bytes or the message why they do not match, and the
+    presentations parsed from those bytes by (file, convention)."""
+
+    def __init__(self):
+        self._digests: dict[str, str] | str | None = None
+        self._files: dict[str, bytes | str] = {}
+        self._presentations: dict[tuple[str, str], Presentation] = {}
+
+    def _digests_or_error(self) -> dict[str, str] | str:
+        """The manifest's digests, or why it is unreadable; read once."""
+        if self._digests is None:
+            try:
+                self._digests = _manifest()
+            except (OSError, ValueError) as e:  # missing, or not JSON
+                self._digests = f"{MANIFEST} unreadable: {e}"
+        return self._digests
+
+    def _check(self, name: str) -> bytes | str:
+        """name's checked bytes, or why they are not; the file is read
+        and hashed the first time only."""
+        digests = self._digests_or_error()
+        if type(digests) is str:
+            return digests
+        if name not in self._files:
+            try:
+                self._files[name] = read_checked(name, digests.get(name))
+            except ValueError as e:
+                self._files[name] = str(e)
+        return self._files[name]
+
+    def mismatches(self, s: Scenario) -> list[str]:
+        """A message for each file replaying s reads, the registry and
+        the files s names, that is missing or differs from the manifest;
+        or the one message why the manifest is unreadable."""
+        digests = self._digests_or_error()
+        if type(digests) is str:
+            return [digests]
+        checked = [self._check(n) for n in (REGISTRY, *s.files.values())]
+        return [c for c in checked if type(c) is str]
+
+    def bind(self, s: Scenario) -> Scenario:
+        """s with its loaders reading through this snapshot; call after
+        `mismatches(s)` came back empty."""
+        bound = replace(s)
+        object.__setattr__(bound, "_snapshot", self)
+        return bound
+
+    def data(self, name: str) -> bytes:
+        """name's checked bytes; raises ValueError saying why not."""
+        data = self._check(name)
+        if type(data) is str:
+            raise ValueError(data)
+        return data
+
+    def presentation(self, name: str, convention: str) -> Presentation:
+        key = (name, convention)
+        if key not in self._presentations:
+            self._presentations[key] = parse_presentation(
+                self.data(name).decode("utf-8"), convention=convention)
+        return self._presentations[key]
 
 
 def _in_manifest(path: Path) -> bool:
@@ -151,40 +245,11 @@ def _in_manifest(path: Path) -> bool:
             and path.suffix != ".pyc")
 
 
-def _mismatches(names, manifest: dict[str, str]) -> list[str]:
-    """A message for each of the files names whose SHA-256 differs from
-    the manifest's digest, or which is missing from the corpus or from
-    the manifest."""
-    out = []
-    for name in names:
-        digest = manifest.get(name)
-        try:
-            actual = file_sha256(name)
-        except FileNotFoundError as e:
-            out.append(str(e))
-            continue
-        if actual != digest:
-            out.append(f"corpus file {name} checksum mismatch: "
-                       f"{actual} != {digest}")
-    return out
-
-
-def _scenario_mismatches(s: Scenario) -> list[str]:
-    """`_mismatches` of the registry and the files s names, which are all
-    that replaying s reads from the corpus."""
-    try:
-        manifest = _manifest()
-    except (OSError, ValueError) as e:  # missing, or not JSON
-        return [f"{MANIFEST} unreadable: {e}"]
-    return _mismatches((REGISTRY, *s.files.values()), manifest)
-
-
 def verify_checksums() -> None:
     """Raise if any corpus file is missing or differs from the manifest."""
     manifest = _manifest()
-    mismatches = _mismatches(sorted(manifest), manifest)
-    if mismatches:
-        raise ValueError(mismatches[0])
+    for name in sorted(manifest):
+        read_checked(name, manifest[name])
     on_disk = {p.name for p in CORPUS_DIR.iterdir() if _in_manifest(p)}
     extra = on_disk - set(manifest)
     missing = set(manifest) - on_disk

@@ -490,5 +490,13 @@ def replay_moves(p: Presentation, moves: Sequence[TietzeMove]) -> Presentation:
 
 
 def abelianized_relation_matrix(p: Presentation) -> list[list[int]]:
-    """One row per relator, one column per generator: exponent sums."""
-    return [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
+    """One row per relator, one column per generator: exponent sums,
+    added up letter by letter in one pass over each relator."""
+    column = {g: j for j, g in enumerate(p.generators)}
+    matrix = []
+    for r in p.relators:
+        row = [0] * len(column)
+        for g, e in r.letters:
+            row[column[g]] += e
+        matrix.append(row)
+    return matrix

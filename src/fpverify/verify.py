@@ -8,6 +8,13 @@ default convention, a live search or collapse under the alternate one,
 where the frozen words do not apply.  One check follows either way: the
 witness must prove the step's target, and its step's `detail` gives its
 size and, for a live witness, the counters of the work that found it.
+
+A replay reads the corpus through one run's snapshot (`fpverify.corpus`):
+its `manifest` step reads and hashes the files no earlier scenario of the
+run named, and its pipeline takes every file through the scenario's
+loaders, which parse or decode only those checked bytes.  `run_all`
+shares one snapshot between its scenarios, so each step's time includes
+the reads it is first to make; `run_scenario` alone makes its own.
 """
 
 from __future__ import annotations
@@ -24,12 +31,7 @@ from .certificates import (
     verify_certificate,
     verify_derivation,
 )
-from .corpus import (
-    Scenario,
-    _scenario_mismatches,
-    list_scenarios,
-    load_scenario,
-)
+from .corpus import Scenario, _Snapshot, list_scenarios, load_scenario
 from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
 from .presentation import (
     Presentation,
@@ -243,15 +245,19 @@ def _pipeline(s: Scenario):
 
 def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
-                 strategy: str = DEFAULT_STRATEGY) -> RunReport:
-    # the run and its first step include looking up the scenario; a
-    # scenario whose files differ from the manifest is not replayed
+                 strategy: str = DEFAULT_STRATEGY, *,
+                 _snapshot: _Snapshot | None = None) -> RunReport:
+    # the run and its first step include looking up the scenario and
+    # reading and hashing the files no earlier scenario of the run read;
+    # a scenario whose files differ from the manifest is not replayed
     t0 = time.monotonic()
     steps = _Steps()
+    snapshot = _Snapshot() if _snapshot is None else _snapshot
     s = load_scenario(scenario_id)
-    mismatches = _scenario_mismatches(s)
+    mismatches = snapshot.mismatches(s)
     if steps.check("manifest", not mismatches, mismatches=mismatches):
-        _pipeline(s)(s, steps, convention, max_cosets, strategy)
+        _pipeline(s)(snapshot.bind(s), steps, convention, max_cosets,
+                     strategy)
     return RunReport(scenario=s.id, convention=convention,
                      steps=steps.results, source_claim=s.source_claim,
                      source_location=s.source_location,
@@ -261,6 +267,9 @@ def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
 def run_all(convention: str = CONVENTION_DEFAULT,
             max_cosets: int = DEFAULT_MAX_COSETS,
             strategy: str = DEFAULT_STRATEGY) -> list[RunReport]:
+    """Every scenario replayed from one snapshot of the corpus, so each
+    file is read, hashed and parsed once per call."""
+    snapshot = _Snapshot()
     return [run_scenario(s.id, convention=convention, max_cosets=max_cosets,
-                         strategy=strategy)
+                         strategy=strategy, _snapshot=snapshot)
             for s in list_scenarios()]

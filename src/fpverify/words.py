@@ -40,7 +40,7 @@ Letter = tuple[str, int]
 
 
 def check_generator_name(name: str) -> str:
-    if not GEN_NAME_RE.match(name):
+    if type(name) is not str or not GEN_NAME_RE.match(name):
         raise ValueError(f"invalid generator name: {name!r}")
     return name
 

@@ -10,7 +10,7 @@ import pytest
 
 import fpverify.corpus as corpus
 from fpverify.cli import main
-from fpverify.verify import run_scenario
+from fpverify.verify import run_all, run_scenario
 from fpverify import (
     Certificate,
     Derivation,
@@ -124,6 +124,57 @@ def test_replay_checks_the_manifest_first(corpus_copy, capsys):
     [step] = run_scenario("derive-gx2").steps
     assert step.detail["mismatches"] == [
         "manifest.json unreadable: corpus file not found: manifest.json"]
+
+
+def test_an_altered_shared_file_fails_every_scenario_naming_it(
+        corpus_copy, monkeypatch):
+    # pi1-N-full.grp is named by three scenarios: each fails its manifest
+    # step with the same message, the other seven replay, and the altered
+    # bytes are never parsed
+    target = corpus_copy / "pi1-N-full.grp"
+    altered = target.read_text().replace("x q x = q x q", "x q x = q q x")
+    target.write_text(altered)
+    parsed = []
+    parse = corpus.parse_presentation
+    monkeypatch.setattr(corpus, "parse_presentation", lambda text, **kw:
+                        parsed.append(text) or parse(text, **kw))
+    reports = {r.scenario: r for r in run_all()}
+    failed = {"pi1-N-full", "elimination-y-w", "redundancy-nine"}
+    assert {sid for sid, r in reports.items() if r.status != "pass"} == failed
+    messages = set()
+    for sid in failed:
+        [step] = reports[sid].steps
+        assert (step.name, step.status) == ("manifest", "fail")
+        [mismatch] = step.detail["mismatches"]
+        messages.add(mismatch)
+    [message] = messages
+    assert message.startswith("corpus file pi1-N-full.grp checksum mismatch: ")
+    assert parsed and altered not in parsed
+
+
+def test_a_replay_parses_the_bytes_it_hashed(monkeypatch):
+    # a file that changes after its check: every later read returns other
+    # bytes, which a replay must never see
+    first = {}
+    read = corpus._read
+
+    def changing_read(name):
+        if name in first:
+            return b"< a | a >" if name.endswith(".grp") else b"{}"
+        first[name] = read(name)
+        return first[name]
+
+    monkeypatch.setattr(corpus, "_read", changing_read)
+    parsed = []
+    parse = corpus.parse_presentation
+    monkeypatch.setattr(corpus, "parse_presentation", lambda text, **kw:
+                        parsed.append(text) or parse(text, **kw))
+    assert all(r.status == "pass" for r in run_all())
+    assert sorted(parsed) == sorted(
+        data.decode() for name, data in first.items() if name.endswith(".grp"))
+    # a loader outside a replay reads the file afresh
+    fresh = corpus.load_scenario("pi1-N-full").presentation()
+    assert fresh.generators == ("a",)
 
 
 @pytest.mark.parametrize("text", ["[]", '{"scenarios.json": 1}'])

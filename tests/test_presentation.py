@@ -22,6 +22,7 @@ from fpverify import (
     simplify,
 )
 from fpverify.corpus import list_scenarios, load_corpus_presentation
+from fpverify.words import CONVENTIONS
 from fpverify.presentation import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
@@ -310,6 +311,26 @@ def test_abelianized_matrix_examples():
     assert abelianized_relation_matrix(p) == [[0, -1, 0]]
     p = parse_presentation("< g, q | g q^-2 g = q^-1 g q^-1 >")
     assert abelianized_relation_matrix(p) == [[1, 0]]
+
+
+def _exponent_sum_matrix(p: Presentation) -> list[list[int]]:
+    """The relation matrix by its definition: one exponent sum per
+    relator and generator."""
+    return [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_abelianized_matrix_is_the_exponent_sums(convention):
+    names = sorted({name for s in list_scenarios()
+                    for name in s.files.values() if name.endswith(".grp")})
+    assert len(names) == 9
+    for name in names:
+        p = load_corpus_presentation(name, convention=convention)
+        assert abelianized_relation_matrix(p) == _exponent_sum_matrix(p), name
+    rng = random.Random(17)
+    for _ in range(300):
+        p = _random_presentation(rng)
+        assert abelianized_relation_matrix(p) == _exponent_sum_matrix(p)
 
 
 def test_json_round_trip():

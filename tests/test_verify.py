@@ -97,19 +97,31 @@ def test_gap_redundancy_derives_by_collapse_alone(monkeypatch):
         == {"enumerations": 19, "lemmas": 18, "cosets_defined": 4069}
 
 
-def test_run_all_loads_each_file_once_per_scenario(monkeypatch):
-    loads = Counter()
-    load = corpus.load_corpus_presentation
-
-    def counting_load(name, *args, **kwargs):
-        loads[name] += 1
-        return load(name, *args, **kwargs)
-
-    monkeypatch.setattr(corpus, "load_corpus_presentation", counting_load)
-    run_all()
-    assert loads == Counter(name for s in list_scenarios()
-                            for name in s.files.values()
-                            if name.endswith(".grp"))
+def test_run_all_reads_each_file_once_per_run(monkeypatch):
+    # one run reads the manifest and every file a scenario names once,
+    # and parses each presentation file once; a second run reads and
+    # parses them all again, because nothing is kept between runs
+    scenarios = list_scenarios()  # the registry is read once per process
+    reads, parses = Counter(), Counter()
+    read, parse = corpus._read, corpus.parse_presentation
+    monkeypatch.setattr(corpus, "_read",
+                        lambda name: reads.update([name]) or read(name))
+    monkeypatch.setattr(corpus, "parse_presentation", lambda text, **kw:
+                        parses.update([text]) or parse(text, **kw))
+    named = {name for s in scenarios for name in s.files.values()}
+    for _ in range(2):
+        reads.clear()
+        parses.clear()
+        assert all(r.status == "pass" for r in run_all())
+        assert reads == Counter({corpus.MANIFEST, corpus.REGISTRY, *named})
+        assert parses == Counter(read(name).decode() for name in named
+                                 if name.endswith(".grp"))
+    # a scenario replayed alone reads only its own files, once each
+    reads.clear()
+    s = corpus.load_scenario("elimination-y-w")
+    assert verify.run_scenario(s.id).status == "pass"
+    assert reads == Counter({corpus.MANIFEST, corpus.REGISTRY,
+                             *s.files.values()})
 
 
 def test_a_failed_derivation_reports_its_error(monkeypatch):

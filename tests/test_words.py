@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fpverify import (
+    Presentation,
     Word,
     commutator,
     conjugate,
@@ -100,6 +101,16 @@ def test_gen_powers_and_pairs():
         Word.gen("1bad")
     with pytest.raises(ValueError):
         Word([("a", 2)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Presentation([7]),
+    lambda: Word.gen(7),
+    lambda: Word.from_pairs([(7, 1)]),
+])
+def test_a_name_that_is_not_a_string_is_a_value_error(build):
+    with pytest.raises(ValueError, match="invalid generator name: 7"):
+        build()
 
 
 def test_str_power_compression():
