@@ -18,12 +18,12 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
+from .checker import (Alphabet, check_derivation, product, read_certificate,
+                      read_derivation)
 from .coset import CosetTable, _add_cycles, _run
 from .presentation import Presentation
-from .words import (Word, _fields, _list, _product, _reduced,
-                    _word_from_json)
+from .words import Word, _product, _reduced
 
 
 @dataclass(frozen=True)
@@ -66,33 +66,24 @@ class Certificate:
         """Load a certificate, checking JSON types as the certificate schema
         does (a JSON bool is not an integer); raises ValueError naming the
         field on any malformed document."""
-        return _certificate_from_json(data, {})
+        alphabet = Alphabet()
+        return _certificate(alphabet, *read_certificate(data, alphabet))
 
 
-_CERTIFICATE_FIELDS = itemgetter("target", "factors")
-_FACTOR_FIELDS = itemgetter("conjugator", "relator", "sign")
-_DERIVATION_FIELDS = itemgetter("target", "steps")
+def _certificate(alphabet: Alphabet, target: list[int],
+                 factors: list) -> Certificate:
+    """The Certificate of `read_certificate`'s tuples over alphabet."""
+    decode = alphabet.decode
+    return Certificate(decode(target), tuple(
+        Factor(decode(u), k, sign) for u, k, sign in factors))
 
 
-def _certificate_from_json(data, names: dict) -> Certificate:
-    """A certificate read from JSON data; names is `_word_from_json`'s map
-    of the generator names already checked in the document."""
-    target, factors = _fields(data, "certificate", _CERTIFICATE_FIELDS)
-    target = _word_from_json(target, names, "target")
-    out = []
-    for i, f in enumerate(_list(factors, "factors")):
-        try:
-            conjugator, relator, sign = _fields(f, "factor", _FACTOR_FIELDS)
-            if type(relator) is not int or relator < 0:
-                raise ValueError(f"relator must be an integer >= 0, "
-                                 f"got {relator!r}")
-            if type(sign) is not int or sign not in (1, -1):
-                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-            out.append(Factor(_word_from_json(conjugator, names, "conjugator"),
-                              relator, sign))
-        except ValueError as e:
-            raise ValueError(f"factors[{i}]: {e}") from None
-    return Certificate(target, tuple(out))
+def _encoded(alphabet: Alphabet, factors: Sequence[Factor]) -> list:
+    """The checker's ``(conjugator, relator index, sign)`` tuples of
+    factors over alphabet."""
+    encode = alphabet.encode
+    return [(encode(f.conjugator.letters), f.relator_index, f.sign)
+            for f in factors]
 
 
 class NotFound(Exception):
@@ -108,32 +99,12 @@ class NotFound(Exception):
 
 def certificate_product(relators: tuple[Word, ...], cert: Certificate) -> Word:
     """The product of the certificate's conjugated relators, freely reduced
-    in one stack pass over their letters: u, then r or its inverse, then
-    u^-1 for each factor.  Each relator's inverse is computed at most once
-    per call, and no Word is built per factor."""
-    n = len(relators)
-    inverses: dict[int, tuple] = {}
-    seqs: list = []
-    push = seqs.append
-    for f in cert.factors:
-        k, sign, u = f.relator_index, f.sign, f.conjugator.letters
-        if not 0 <= k < n:
-            raise IndexError(f"relator index {k} out of range")
-        if sign == 1:
-            r = relators[k].letters
-        elif sign == -1:
-            r = inverses.get(k)
-            if r is None:
-                r = inverses[k] = relators[k].inverse().letters
-        else:
-            raise ValueError(f"factor sign must be +-1, got {sign}")
-        if u:
-            push(u)
-            push(r)
-            push([(g, -e) for g, e in reversed(u)])
-        else:
-            push(r)
-    return _product(seqs)
+    by the checker's `product` loop on integer letters; no Word is built
+    per factor.  Raises IndexError for a relator index out of range and
+    ValueError for a sign other than +-1, each naming the factor."""
+    alphabet = Alphabet()
+    words = [alphabet.encode(r.letters) for r in relators]
+    return alphabet.decode(product(words, _encoded(alphabet, cert.factors)))
 
 
 def verify_certificate(p: Presentation, cert: Certificate) -> bool:
@@ -606,30 +577,23 @@ class Derivation:
     def from_json(data: dict) -> "Derivation":
         """Load a derivation; raises ValueError naming the field on any
         malformed document."""
-        names: dict = {}
-        target, steps = _fields(data, "derivation", _DERIVATION_FIELDS)
-        target = _word_from_json(target, names, "target")
-        out = []
-        for i, step in enumerate(_list(steps, "steps")):
-            try:
-                out.append(_certificate_from_json(step, names))
-            except ValueError as e:
-                raise ValueError(f"steps[{i}]: {e}") from None
-        return Derivation(target, tuple(out))
+        alphabet = Alphabet()
+        target, steps = read_derivation(data, alphabet)
+        return Derivation(alphabet.decode(target), tuple(
+            _certificate(alphabet, *step) for step in steps))
 
 
 def verify_derivation(p: Presentation, d: Derivation) -> bool:
     """True iff every step's certificate verifies over the base relators
     plus the targets of the earlier steps, and the last step derives
-    d.target."""
-    if not d.steps:
-        return d.target.is_identity()
-    relators = list(p.relators)
-    for step in d.steps:
-        if certificate_product(tuple(relators), step) != step.target:
-            return False
-        relators.append(step.target)
-    return d.steps[-1].target == d.target
+    d.target: the checker's `check_derivation` on integer letters.  Its
+    IndexError or ValueError names the step and the factor."""
+    alphabet = Alphabet(p.generators)
+    encode = alphabet.encode
+    return check_derivation(
+        [encode(r.letters) for r in p.relators], encode(d.target.letters),
+        [(encode(s.target.letters), _encoded(alphabet, s.factors))
+         for s in d.steps])
 
 
 def _collapse(p: Presentation, max_cosets: int, max_steps: int
@@ -787,30 +751,42 @@ def check_equivalence(p1: Presentation, p2: Presentation,
     over p1's relators.  Supplied certs (keyed by p2 relator index) are
     verified; missing ones are searched for by `derive_all` with
     state_budgets."""
+    certs = certs or {}
+
+    def check(i: int, translated: Word) -> bool | None:
+        cert = certs.get(i)
+        if cert is None:
+            return None
+        return cert.target == translated and verify_certificate(p1, cert)
+    return _equivalence(p1, p2, dictionary, check, state_budgets)
+
+
+def _equivalence(p1: Presentation, p2: Presentation,
+                 dictionary: dict[str, Word], check,
+                 state_budgets: tuple[int, ...] = _STATE_BUDGETS) -> bool:
+    """`check_equivalence` with the witness of each relator i of p2 judged
+    by check(i, translated): True or False for the verdict of its
+    witness, None when there is none, in which case the translation is
+    searched for by `derive_all`."""
     images = {}  # each letter of p2's relators -> the letters of its image
     for g in {g for r in p2.relators for g in r.generators()}:
         if g not in dictionary:
             raise KeyError(f"dictionary missing entry for generator {g!r}")
         images[g, 1] = dictionary[g].letters
         images[g, -1] = dictionary[g].inverse().letters
-    certs = certs or {}
-    missing: list[int] = []
-    translations: dict[int, Word] = {}
+    missing: list[Word] = []
     for i, r in enumerate(p2.relators):
         # every letter at once, so that no image is translated again
         translated = _product(images[letter] for letter in r.letters)
         if translated.is_identity():
             continue
-        translations[i] = translated
-        cert = certs.get(i)
-        if cert is not None:
-            if cert.target != translated or not verify_certificate(p1, cert):
-                return False
-        else:
-            missing.append(i)
+        verdict = check(i, translated)
+        if verdict is None:
+            missing.append(translated)
+        elif not verdict:
+            return False
     if missing:
-        targets = [translations[i] for i in missing]
-        found = derive_all(p1, targets, state_budgets)
-        if len(found) != len(targets):
+        found = derive_all(p1, missing, state_budgets)
+        if len(found) != len(missing):
             return False
     return True

@@ -15,14 +15,22 @@ its digest is never parsed, and no file is read again after its check.
 The snapshot lives for one run; nothing is cached between runs.  A
 scenario from `load_scenario` outside a replay reads its files on each
 call, unchecked.
+
+A witness file is a JSON object keyed by indices in canonical decimal,
+each key once (`read_witnesses`).  `Scenario.witnesses` reads one with a
+given reader: a replay passes `fpverify.checker`'s, which decode each
+witness into plain tuples, and `certificates` and `derivations` pass the
+`from_json` loaders.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from json.decoder import scanstring
 from pathlib import Path
 
 from ..certificates import Certificate, Derivation
@@ -56,28 +64,85 @@ class Scenario:
         return self._snapshot.presentation(self.files[key], convention)
 
     def certificates(self, key: str = "certificates") -> dict[int, Certificate]:
-        return self._witnesses(key, Certificate.from_json)
+        return self.witnesses(key, Certificate.from_json)
 
     def derivations(self, key: str = "derivations") -> dict[int, Derivation]:
-        return self._witnesses(key, Derivation.from_json)
+        return self.witnesses(key, Derivation.from_json)
 
-    def _witnesses(self, key: str, from_json) -> dict:
-        """The frozen ``{index: witness}`` file under key, each witness
-        read by from_json; raises ValueError naming the file, and the
-        key, on a malformed one."""
+    def witnesses(self, key: str, read) -> dict:
+        """The frozen witness file under key as ``{index: read(doc)}``,
+        as `read_witnesses` reads it."""
         name = self.files[key]
-        data = json.loads(_read(name) if self._snapshot is None
-                          else self._snapshot.data(name))
-        if type(data) is not dict:
-            raise ValueError(f"{name}: must be an object keyed by relator "
-                             f"index, got {type(data).__name__}")
-        out = {}
-        for k, v in data.items():
-            try:
-                out[int(k)] = from_json(v)
-            except ValueError as e:
-                raise ValueError(f"{name}[{k!r}]: {e}") from None
-        return out
+        return read_witnesses(name, _read(name) if self._snapshot is None
+                              else self._snapshot.data(name), read)
+
+
+def read_witnesses(name: str, data: bytes, read) -> dict:
+    """The witness file name, holding data, as ``{index: read(doc)}``.
+
+    data must be a JSON object keyed by indices in canonical decimal
+    (``str(int(k)) == k``, not negative), none of them repeated, so that
+    each witness in the file is read and none is silently replaced by a
+    later one.  read takes one witness document, and raises ValueError
+    when it is malformed.  Every error is a ValueError naming the file,
+    and the key when there is one."""
+    try:
+        members = _members(data.decode("utf-8"))
+    except ValueError as e:  # not UTF-8, not JSON, or not an object
+        raise ValueError(f"{name}: {e}") from None
+    out = {}
+    for k, doc in members:
+        try:
+            i = int(k)
+        except ValueError:
+            i = -1
+        if i < 0 or str(i) != k:
+            raise ValueError(f"{name}[{k!r}]: key must be an index in "
+                             f"canonical decimal")
+        if i in out:
+            raise ValueError(f"{name}[{k!r}]: key repeated")
+        try:
+            out[i] = read(doc)
+        except ValueError as e:
+            raise ValueError(f"{name}[{k!r}]: {e}") from None
+    return out
+
+
+_JSON = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON's whitespace
+
+
+def _members(text: str) -> list[tuple[str, object]]:
+    """The members of the JSON object text as (key, value) pairs, in
+    order and with a repeated key kept each time (`json.loads` keeps only
+    its last value); ValueError when text is not JSON or not an object."""
+    space = _SPACE.match
+    i = space(text).end()
+    if not text.startswith("{", i):
+        raise ValueError(f"must be an object keyed by relator index, "
+                         f"got {type(json.loads(text)).__name__}")
+    members = []
+    i = space(text, i + 1).end()
+    end = text.startswith("}", i)
+    while not end:
+        if not text.startswith('"', i):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, i)
+        key, i = scanstring(text, i + 1)
+        i = space(text, i).end()
+        if not text.startswith(":", i):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        value, i = _JSON.raw_decode(text, space(text, i + 1).end())
+        members.append((key, value))
+        i = space(text, i).end()
+        end = text.startswith("}", i)
+        if not end:
+            if not text.startswith(",", i):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+            i = space(text, i + 1).end()
+    if space(text, i + 1).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, i + 1)
+    return members
 
 
 def corpus_path(name: str) -> Path:

@@ -33,16 +33,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .checker import Alphabet, _fields, _list, read_word
 from .words import (
     _GEN_NAME,
     CONVENTION_DEFAULT,
     GEN_NAME_RE,
     Word,
-    _fields,
-    _list,
     _multiply,
     _reduced,
-    _word_from_json,
     check_generator_name,
     commutator,
 )
@@ -154,8 +152,9 @@ class Presentation:
             if type(g) is not str or not GEN_NAME_RE.match(g):
                 raise ValueError(f"generators[{k}] must be a generator name, "
                                  f"got {g!r}")
+        alphabet = Alphabet()
         return Presentation(gens, [
-            _word_from_json(r, {}, f"relators[{k}]")
+            alphabet.decode(read_word(r, alphabet, f"relators[{k}]"))
             for k, r in enumerate(_list(rels, "relators"))], name=name)
 
 

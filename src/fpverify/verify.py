@@ -9,6 +9,14 @@ where the frozen words do not apply.  One check follows either way: the
 witness must prove the step's target, and its step's `detail` gives its
 size and, for a live witness, the counters of the work that found it.
 
+A frozen witness is read from its file's checked bytes by
+`fpverify.checker` straight into plain tuples of integer letters and
+checked there, with no word object built for it: `redundancy-nine`'s
+`load-derivations` step times reading and decoding its chains, and each
+`relator-*` step that chain's products.  A malformed witness, one naming
+a relator the presentation does not have included, raises ValueError
+naming the file, the key and the field or factor.
+
 A replay reads the corpus through one run's snapshot (`fpverify.corpus`):
 its `manifest` step reads and hashes the files no earlier scenario of the
 run named, and its pipeline takes every file through the scenario's
@@ -25,11 +33,19 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .certificates import (
     NotFound,
+    _equivalence,
     check_equivalence,
     derive_by_collapse,
     search_certificate,
     verify_certificate,
     verify_derivation,
+)
+from .checker import (
+    Alphabet,
+    check_certificate,
+    check_derivation,
+    read_certificate,
+    read_derivation,
 )
 from .corpus import Scenario, _Snapshot, list_scenarios, load_scenario
 from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
@@ -122,6 +138,30 @@ def _stats(x) -> dict:
     return asdict(x.stats) if x.stats else {}
 
 
+def _frozen(s: Scenario, key: str, read, p: Presentation):
+    """The alphabet, p's relators as its integer words, and s's frozen
+    witnesses under key as {index: read(doc, alphabet)}, read from the
+    checked bytes of the file by the checker (`read_certificate` or
+    `read_derivation`)."""
+    alphabet = Alphabet(p.generators)
+    relators = [alphabet.encode(r.letters) for r in p.relators]
+    return alphabet, relators, s.witnesses(key, lambda doc: read(doc,
+                                                                 alphabet))
+
+
+def _proves(s: Scenario, key: str, i: int, check, relators: list,
+            target: list[int], witness: tuple) -> bool:
+    """Whether frozen witness i of s's file under key, a (target, factors
+    or steps) pair as the checker reads it, proves target over relators
+    by check.  A relator index out of range makes the witness malformed:
+    a ValueError naming the file, the key and the factor."""
+    frozen, body = witness
+    try:
+        return frozen == target and check(relators, frozen, body)
+    except IndexError as e:
+        raise ValueError(f"{s.files[key]}[{str(i)!r}]: {e}") from None
+
+
 def _expected_h1(expected: dict) -> tuple[int, tuple[int, ...]]:
     return expected["h1"]["free_rank"], tuple(expected["h1"]["torsion"])
 
@@ -172,15 +212,23 @@ def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
                 generators=list(current.generators),
                 relators=len(current.relators))
     identity = {g: Word.gen(g) for g in full.generators}
-    if convention == CONVENTION_DEFAULT:
-        fwd = s.certificates("full_from_raw")
-        bwd = s.certificates("raw_from_full")
-    else:
-        fwd = bwd = None  # frozen witnesses are convention-specific
-    steps.timed("equivalence-forward", lambda: (
-        check_equivalence(current, full, identity, fwd), {}))
-    steps.timed("equivalence-backward", lambda: (
-        check_equivalence(full, current, identity, bwd), {}))
+
+    def equivalence(key: str, p1: Presentation, p2: Presentation):
+        if convention != CONVENTION_DEFAULT:
+            # frozen witnesses are convention-specific
+            return check_equivalence(p1, p2, identity), {}
+        alphabet, relators, certs = _frozen(s, key, read_certificate, p1)
+
+        def check(i: int, translated: Word) -> bool | None:
+            if i not in certs:
+                return None
+            return _proves(s, key, i, check_certificate, relators,
+                           alphabet.encode(translated.letters), certs[i])
+        return _equivalence(p1, p2, identity, check), {}
+    steps.timed("equivalence-forward",
+                lambda: equivalence("full_from_raw", current, full))
+    steps.timed("equivalence-backward",
+                lambda: equivalence("raw_from_full", full, current))
 
 
 def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str,
@@ -189,8 +237,14 @@ def _run_derive_scenario(s: Scenario, steps: _Steps, convention: str,
     target = parse_word(s.expected["target"], convention=convention)
 
     def certificate():
-        cert = (s.certificates()[0] if convention == CONVENTION_DEFAULT
-                else search_certificate(base, target))
+        if convention == CONVENTION_DEFAULT:
+            alphabet, relators, certs = _frozen(s, "certificates",
+                                                read_certificate, base)
+            return (_proves(s, "certificates", 0, check_certificate,
+                            relators, alphabet.encode(target.letters),
+                            certs[0]),
+                    {"factors": len(certs[0][1])})
+        cert = search_certificate(base, target)
         return (cert.target == target and verify_certificate(base, cert),
                 {"factors": len(cert.factors), **_stats(cert)})
     steps.timed("certificate", certificate)
@@ -201,25 +255,28 @@ def _run_redundancy_scenario(s: Scenario, steps: _Steps, convention: str,
     full = s.presentation(convention=convention)
     indices = s.expected["certified_indices"]
     if convention == CONVENTION_DEFAULT:
-        # parsing the frozen chains is a step of its own, so "indices"
-        # times only the comparison
-        derivations = s.derivations()
-        steps.record("load-derivations", "pass", chains=len(derivations))
-        steps.check("indices", sorted(derivations) == sorted(indices))
-    else:
-        derivations = None
-    certified = 0
-    for i in indices:
-        rest = full.with_relators(
-            [r for j, r in enumerate(full.relators) if j != i])
-        target = full.relators[i]
+        # decoding the frozen chains is a step of its own, so "indices"
+        # times only the comparison and each relator step only its check
+        _, relators, chains = _frozen(s, "derivations", read_derivation, full)
+        steps.record("load-derivations", "pass", chains=len(chains))
+        steps.check("indices", sorted(chains) == sorted(indices))
 
-        def derivation():
-            d = (derivations[i] if derivations is not None
-                 else derive_by_collapse(rest, target))
+        def derivation(i: int):
+            return (_proves(s, "derivations", i, check_derivation,
+                            relators[:i] + relators[i + 1:], relators[i],
+                            chains[i]),
+                    {"steps_in_chain": len(chains[i][1])})
+    else:
+        def derivation(i: int):
+            rest = full.with_relators(
+                [r for j, r in enumerate(full.relators) if j != i])
+            target = full.relators[i]
+            d = derive_by_collapse(rest, target)
             return (d.target == target and verify_derivation(rest, d),
                     {"steps_in_chain": len(d.steps), **_stats(d)})
-        certified += steps.timed(f"relator-{i}", derivation)
+    certified = 0
+    for i in indices:
+        certified += steps.timed(f"relator-{i}", lambda: derivation(i))
     steps.check("count", certified >= s.expected["redundant_count_at_least"],
                 certified=certified,
                 required=s.expected["redundant_count_at_least"])

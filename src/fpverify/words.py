@@ -6,9 +6,8 @@ A word is an immutable, always freely reduced sequence of letters
 compression is purely a printing concern.
 
 Input enters through ``Word(letters)``, ``Word.gen`` and ``Word.from_pairs``,
-which check exponents and reduce in full, and from JSON through
-``_word_from_json``, which checks each letter as the JSON schemas do and
-raises ValueError naming the field.  Arithmetic on words relies on the
+which check exponents and reduce in full; JSON words are read by
+`fpverify.checker.read_word`.  Arithmetic on words relies on the
 invariant that every ``Word`` is already reduced: in a product ``u * v``
 only the seam between u's tail and v's head can cancel, so ``*``,
 ``inverse`` and ``conjugated_by`` cancel at the seam (or not at all) and
@@ -258,62 +257,3 @@ def substitute(w: Word, gen: str, replacement: Word) -> Word:
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     return w.cyclic_reduce()
-
-
-# -- JSON words -----------------------------------------------------------
-
-def _fields(data, what: str, get):
-    """get(data) for an itemgetter get; ValueError unless data is a JSON
-    object holding every key get reads."""
-    if type(data) is not dict:
-        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
-    try:
-        return get(data)
-    except KeyError as e:
-        raise ValueError(f"{what} has no {e.args[0]!r} field") from None
-
-
-def _list(data, what: str) -> list:
-    if type(data) is not list:
-        raise ValueError(f"{what} must be a list, got {type(data).__name__}")
-    return data
-
-
-def _word_from_json(pairs, names: dict, what: str = "word") -> Word:
-    """A JSON word checked and freely reduced in one pass over its letters.
-
-    Each letter must be a 2-element list of a generator name and an
-    exponent 1 or -1 (a JSON bool is not an integer).  names maps every
-    generator name already checked, in this call or earlier ones on the
-    same document, to its two letters: a name is matched against
-    GEN_NAME_RE once, the letters of a document are shared tuples, and
-    the reduction cancels a letter against the stack's top by identity."""
-    if not _list(pairs, what):
-        return _IDENTITY
-    stack: list = []
-    push, pop = stack.append, stack.pop
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2:
-            raise _bad_letter(what, pair)
-        name, exp = pair
-        if type(exp) is not int or (exp != 1 and exp != -1):
-            raise _bad_letter(what, pair)
-        try:
-            pos, neg = names[name]
-        except (KeyError, TypeError):  # unseen, or not even hashable
-            if type(name) is not str or not GEN_NAME_RE.match(name):
-                raise _bad_letter(what, pair) from None
-            pos, neg = names[name] = ((name, 1), (name, -1))
-        if exp == 1:
-            letter, inverse = pos, neg
-        else:
-            letter, inverse = neg, pos
-        if stack and stack[-1] is inverse:
-            pop()
-        else:
-            push(letter)
-    return _reduced(tuple(stack))
-
-
-def _bad_letter(what: str, pair) -> ValueError:
-    return ValueError(f"{what} letter must be [name, 1 or -1], got {pair!r}")

@@ -32,9 +32,11 @@ from fpverify.certificates import (
     _NewTrivialWord,
     _proof_to_factors,
     _ProofLog,
-    _word_from_json,
     certificate_product,
 )
+from fpverify.checker import (Alphabet, check_certificate, check_derivation,
+                              product, read_certificate, read_derivation,
+                              read_word)
 from fpverify.corpus import load_corpus_presentation, load_scenario
 from fpverify.coset import CosetTable, _run
 from fpverify.words import _product
@@ -644,15 +646,23 @@ json_letters = st.lists(st.tuples(st.sampled_from(("a", "b", "c_1", "Z")),
                                   st.sampled_from((1, -1))), max_size=40)
 
 
+def word_from_json(pairs, alphabet: Alphabet) -> Word:
+    """The Word of a JSON word, as the from_json loaders read it."""
+    return alphabet.decode(read_word(pairs, alphabet))
+
+
 @given(json_letters, json_letters)
 def test_word_from_json_reduces_as_word_does(first, second):
     # unreduced input included; a second word of the same document reads
     # the names the first one checked
-    names = {}
+    alphabet = Alphabet()
     for letters in (first, second, first + second):
-        w = _word_from_json([[g, e] for g, e in letters], names)
+        codes = read_word([[g, e] for g, e in letters], alphabet)
+        w = alphabet.decode(codes)
         assert w == Word(letters)
         assert Word(w.letters) == w  # nothing left to cancel
+        assert all(a != b ^ 1 for a, b in zip(codes, codes[1:]))
+        assert alphabet.encode(w.letters) == codes
 
 
 # names and exponents the schema accepts or rejects, and letters of the
@@ -673,11 +683,11 @@ def test_word_from_json_rejects_exactly_what_the_schema_rejects():
                 jsonschema.validate({"target": word, "factors": []},
                                     schema("certificate"))
             except jsonschema.ValidationError:
-                for names in ({}, {"a": (("a", 1), ("a", -1))}):
+                for alphabet in (Alphabet(), Alphabet(["a"])):
                     with pytest.raises(ValueError):
-                        _word_from_json(word, names)
+                        read_word(word, alphabet)
             else:
-                assert _word_from_json(word, {}) == Word(map(tuple, word))
+                assert word_from_json(word, Alphabet()) == Word(map(tuple, word))
                 accepted += 1
     # a and x_2 to the power 1 and -1, in both places
     assert accepted == 8
@@ -694,11 +704,11 @@ def test_word_from_json_rejects_the_mistyped_letters():
         word_path = path[:path.index(key) + 1]
         bad = _get(_set(good, path, value), word_path)
         with pytest.raises(ValueError):
-            _word_from_json(bad, {})
-        names = {}
-        _word_from_json(_get(good, word_path), names)
+            read_word(bad, Alphabet())
+        alphabet = Alphabet()
+        read_word(_get(good, word_path), alphabet)
         with pytest.raises(ValueError):
-            _word_from_json(bad, names)
+            read_word(bad, alphabet)
 
 
 def word_level_product(relators, factors) -> Word:
@@ -749,10 +759,19 @@ def test_certificate_product_matches_the_word_level_product(case):
     product = certificate_product(relators, Certificate(Word(), factors))
     assert product == word_level_product(relators, factors)
     assert product == raw_product(relators, factors)
+    # the checker's loop on integer letters, fed the factors' JSON
+    alphabet = Alphabet()
+    words = [alphabet.encode(r.letters) for r in relators]
+    _, read = read_certificate(Certificate(Word(), factors).to_json(),
+                               alphabet)
+    assert alphabet.decode(checker_product(words, read)) == product
     # the factors followed by their inverses in reverse multiply out to 1
     n = len(relators)
     mirror = factors + _inline((Factor(Word(), n, -1),), n, [factors])
     assert certificate_product(relators, Certificate(Word(), mirror)).is_identity()
+
+
+checker_product = product
 
 
 @given(st.lists(kernel_words, min_size=1, max_size=3), st.data())
@@ -853,3 +872,133 @@ def test_a_lemma_raised_mid_cascade_leaves_the_counts_right(text):
         assert ct.defined_total == len(ct.p)
         mid_cascade += ct.coincidence_count > began
     assert mid_cascade > 0
+
+
+# -- the one-pass checker against the object path -----------------------------
+
+def one_pass(p, doc, target) -> bool:
+    """The replay's verdict on a JSON certificate over p for target."""
+    alphabet = Alphabet(p.generators)
+    frozen, factors = read_certificate(doc, alphabet)
+    return (frozen == alphabet.encode(target.letters) and check_certificate(
+        [alphabet.encode(r.letters) for r in p.relators], frozen, factors))
+
+
+def one_pass_chain(p, doc, target) -> bool:
+    """The replay's verdict on a JSON derivation over p for target."""
+    alphabet = Alphabet(p.generators)
+    frozen, steps = read_derivation(doc, alphabet)
+    return (frozen == alphabet.encode(target.letters) and check_derivation(
+        [alphabet.encode(r.letters) for r in p.relators], frozen, steps))
+
+
+def by_objects(p, doc, target) -> bool:
+    cert = Certificate.from_json(doc)
+    return cert.target == target and verify_certificate(p, cert)
+
+
+def by_objects_chain(p, doc, target) -> bool:
+    d = Derivation.from_json(doc)
+    return d.target == target and verify_derivation(p, d)
+
+
+def frozen_documents():
+    """(presentation, JSON certificate, its target) for every frozen
+    certificate and every step of every frozen derivation, each step over
+    the relators plus the targets of the steps before it."""
+    def documents(s, key):
+        return s.witnesses(key, lambda doc: doc)
+
+    for sid, key, over in FROZEN_CERTIFICATES:
+        s = load_scenario(sid)
+        p = s.presentation(over)
+        for doc in documents(s, key).values():
+            yield p, doc, Certificate.from_json(doc).target
+    s = load_scenario("redundancy-nine")
+    full = s.presentation()
+    for i, doc in documents(s, "derivations").items():
+        relators = [r for j, r in enumerate(full.relators) if j != i]
+        for step in doc["steps"]:
+            target = Certificate.from_json(step).target
+            yield full.with_relators(relators), step, target
+            relators.append(target)
+
+
+def _flip_first_letter(f):
+    f["conjugator"][0][1] *= -1
+
+
+JSON_MUTATIONS = {
+    "sign": lambda f, n: f.update(sign=-f["sign"]),
+    "relator": lambda f, n: f.update(relator=(f["relator"] + 1) % n),
+    "conjugator": lambda f, n: f["conjugator"] and _flip_first_letter(f),
+}
+
+
+def json_mutations(doc, relators):
+    """Each kind of single mutation of a JSON certificate over relators,
+    applied to its first factor whose value u r^s u^-1 it changes, and
+    the certificate with its first factor dropped."""
+    def value(f):
+        cert = Certificate.from_json({"target": [], "factors": [f]})
+        [g] = cert.factors
+        r = relators[g.relator_index]
+        return (r if g.sign == 1 else r.inverse()).conjugated_by(g.conjugator)
+
+    for kind, mutate in JSON_MUTATIONS.items():
+        for k, f in enumerate(doc["factors"]):
+            bad = copy.deepcopy(doc)
+            if mutate(bad["factors"][k], len(relators)) is None \
+                    and bad != doc and value(bad["factors"][k]) != value(f):
+                yield kind, bad
+                break
+    if doc["factors"]:
+        yield "dropped", {**doc, "factors": doc["factors"][1:]}
+
+
+def test_both_paths_give_one_verdict_on_every_frozen_witness():
+    kinds = set()
+    n = 0
+    for p, doc, target in frozen_documents():
+        assert one_pass(p, doc, target) and by_objects(p, doc, target)
+        for kind, bad in json_mutations(doc, p.relators):
+            assert not one_pass(p, bad, target), kind
+            assert not by_objects(p, bad, target), kind
+            kinds.add(kind)
+        n += 1
+    assert kinds == {"sign", "relator", "conjugator", "dropped"} and n > 200
+
+
+def test_both_paths_give_one_verdict_on_every_frozen_chain():
+    s = load_scenario("redundancy-nine")
+    full = s.presentation()
+    chains = s.witnesses("derivations", lambda doc: doc)
+    for i, doc in chains.items():
+        rest = full.with_relators(
+            [r for j, r in enumerate(full.relators) if j != i])
+        target = full.relators[i]
+        assert one_pass_chain(rest, doc, target)
+        assert by_objects_chain(rest, doc, target)
+        # checked against another relator's target
+        other = full.relators[(i + 1) % len(full.relators)]
+        assert not one_pass_chain(rest, doc, other)
+        assert not by_objects_chain(rest, doc, other)
+        # and with its last step mutated
+        relators = rest.relators + tuple(
+            Certificate.from_json(step).target for step in doc["steps"][:-1])
+        for kind, bad in json_mutations(doc["steps"][-1], relators):
+            chain = {**doc, "steps": doc["steps"][:-1] + [bad]}
+            assert not one_pass_chain(rest, chain, target), (i, kind)
+            assert not by_objects_chain(rest, chain, target), (i, kind)
+
+
+@pytest.mark.parametrize("doc", [
+    doc for doc, _ in MALFORMED_CERTIFICATES + MALFORMED_DERIVATIONS])
+def test_both_paths_reject_a_malformed_document_with_one_message(doc):
+    for read_json, read in ((Certificate.from_json, read_certificate),
+                            (Derivation.from_json, read_derivation)):
+        with pytest.raises(ValueError) as by_objects:
+            read_json(doc)
+        with pytest.raises(ValueError) as by_one_pass:
+            read(doc, Alphabet())
+        assert str(by_one_pass.value) == str(by_objects.value)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import re
@@ -52,7 +53,20 @@ def test_checksums_pinned():
 
 @pytest.mark.parametrize("text, error", [
     ("[]", r"bad\.certs\.json: must be an object keyed by relator index, got list"),
+    ("{", r"bad\.certs\.json: Expecting property name"),
+    ('{"0": {"target": [], "factors": []}} 1', r"bad\.certs\.json: Extra data"),
     ('{"x": {"target": [], "factors": []}}', r"bad\.certs\.json\['x'\]"),
+    # an index in anything but canonical decimal, or repeated, would let
+    # a witness stand in for another one that is then never read
+    ('{"00": {"target": [], "factors": []}}',
+     r"bad\.certs\.json\['00'\]: key must be an index in canonical decimal"),
+    ('{"0": {"target": [], "factors": [], "steps": []}, "00": {}}',
+     r"bad\.certs\.json\['00'\]: key must be an index"),
+    ('{" 1": {"target": [], "factors": []}}', r"\[' 1'\]: key must be"),
+    ('{"-1": {"target": [], "factors": []}}', r"\['-1'\]: key must be"),
+    ('{"1_0": {"target": [], "factors": []}}', r"\['1_0'\]: key must be"),
+    ('{"0": {"target": [], "factors": []}, "0": {"target": [], "factors": []}}',
+     r"bad\.certs\.json\['0'\]: key repeated"),
     ('{"0": {"target": [], "factors": null}}',
      r"bad\.certs\.json\['0'\]: factors must be a list"),
 ])
@@ -77,6 +91,61 @@ def corpus_copy(tmp_path, monkeypatch):
             shutil.copy(p, tmp_path / p.name)
     monkeypatch.setattr(corpus, "CORPUS_DIR", tmp_path)
     return tmp_path
+
+
+def repin(directory, name, data):
+    """Write data, a JSON value, to the corpus file name in directory and
+    pin its new digest in the manifest, as a deliberate edit would."""
+    text = json.dumps(data)
+    (directory / name).write_text(text)
+    manifest = json.loads((directory / corpus.MANIFEST).read_text())
+    manifest[name] = hashlib.sha256(text.encode()).hexdigest()
+    (directory / corpus.MANIFEST).write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("scenario, name, path, where", [
+    ("derive-gx2", "derive-gx2.certs.json", ("0", "factors", 1),
+     "['0']: factors[1]"),
+    ("elimination-y-w", "elimination-full-from-raw.certs.json",
+     ("3", "factors", 0), "['3']: factors[0]"),
+    ("redundancy-nine", "redundancy-nine.derivations.json",
+     ("5", "steps", 1, "factors", 0), "['5']: steps[1]: factors[0]"),
+])
+def test_a_witness_naming_a_missing_relator_is_malformed(
+        corpus_copy, capsys, scenario, name, path, where):
+    # a relator index past the presentation's relators is an input error
+    # naming the file, the key and the factor: verify exits 2 with it
+    data = json.loads((corpus_copy / name).read_text())
+    factor = data
+    for key in path:
+        factor = factor[key]
+    factor["relator"] = 99
+    repin(corpus_copy, name, data)
+    message = f"{name}{where}: relator index 99 out of range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_scenario(scenario)
+    assert main(["verify", "--scenario", scenario]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_witness_under_a_repeated_index_is_rejected(corpus_copy, capsys):
+    # a sign-flipped certificate under "0" and the good one under "00":
+    # with one index kept per key the bad one would never be checked
+    name = "derive-gx2.certs.json"
+    good = json.loads((corpus_copy / name).read_text())["0"]
+    flipped = json.loads(json.dumps(good))
+    flipped["factors"][0]["sign"] *= -1
+    repin(corpus_copy, name, {"0": flipped, "00": good})
+    message = f"{name}['00']: key must be an index in canonical decimal"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus.load_scenario("derive-gx2").certificates()
+    assert main(["verify", "--scenario", "derive-gx2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # and the flipped certificate alone fails its step
+    repin(corpus_copy, name, {"0": flipped})
+    report = run_scenario("derive-gx2")
+    step = next(x for x in report.steps if x.name == "certificate")
+    assert step.status == "fail"
 
 
 def test_checksum_mismatch_detected(corpus_copy):
@@ -406,17 +475,45 @@ def test_scenarios_json_well_formed():
                           "source_claim", "source_location"}
 
 
-def test_build_corpus_reproduces_the_frozen_corpus(tmp_path, monkeypatch):
-    # tools/build_corpus.py, run into a temporary directory, rewrites every
-    # frozen file byte for byte except redundancy-nine's collapse chains
-    # (frozen from an earlier enumerator) and their manifest entry; the
-    # rebuilt chains must verify instead
+def load_builder(monkeypatch, directory):
+    """tools/build_corpus.py as a module, writing into directory."""
     script = Path(__file__).resolve().parents[1] / "tools" / "build_corpus.py"
     spec = importlib.util.spec_from_file_location("build_corpus", script)
     build = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
     spec.loader.exec_module(build)
-    monkeypatch.setattr(build, "CORPUS", tmp_path)
+    monkeypatch.setattr(build, "CORPUS", directory)
+    return build
+
+
+def test_the_builder_refuses_a_witness_that_does_not_check(tmp_path,
+                                                           monkeypatch):
+    # a search returning a certificate with one sign flipped: the builder
+    # reads the file it wrote back through the replay's checker and raises
+    build = load_builder(monkeypatch, tmp_path)
+    search = build.search_certificate
+
+    def flipped(p, target, **kw):
+        cert = search(p, target, **kw)
+        f = cert.factors[0]
+        return Certificate(cert.target, (replace(f, sign=-f.sign),)
+                           + cert.factors[1:])
+
+    monkeypatch.setattr(build, "search_certificate", flipped)
+    # conjugacy-x is the first scenario the builder freezes
+    with pytest.raises(build.BuildError, match=re.escape(
+            "conjugacy-x.certs.json['0']: does not prove its target")):
+        build.main()
+    assert (tmp_path / "conjugacy-x.certs.json").is_file()
+    assert not (tmp_path / corpus.MANIFEST).exists()
+
+
+def test_build_corpus_reproduces_the_frozen_corpus(tmp_path, monkeypatch):
+    # tools/build_corpus.py, run into a temporary directory, rewrites every
+    # frozen file byte for byte except redundancy-nine's collapse chains
+    # (frozen from an earlier enumerator) and their manifest entry; the
+    # rebuilt chains must verify instead
+    build = load_builder(monkeypatch, tmp_path)
     build.main()
 
     chains = "redundancy-nine.derivations.json"

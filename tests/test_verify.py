@@ -138,6 +138,13 @@ def test_a_failed_derivation_reports_its_error(monkeypatch):
     assert report.status == "fail"
 
 
+def frozen(witnesses: dict):
+    """A stand-in for `Scenario.witnesses` that reads these witnesses'
+    JSON documents, as a replay reads a frozen file."""
+    return lambda self, key, read: {
+        i: read(w.to_json()) for i, w in witnesses.items()}
+
+
 def test_a_witness_for_another_word_fails_its_step(monkeypatch):
     # each witness below verifies over its presentation, but proves one of
     # its relators rather than the step's target
@@ -147,7 +154,7 @@ def test_a_witness_for_another_word_fails_its_step(monkeypatch):
     s = corpus.load_scenario("derive-qc-commute")
     cert = proves_a_relator(s.presentation("base"))
     assert verify_certificate(s.presentation("base"), cert)
-    monkeypatch.setattr(Scenario, "certificates", lambda self: {0: cert})
+    monkeypatch.setattr(Scenario, "witnesses", frozen({0: cert}))
     report = verify.run_scenario("derive-qc-commute")
     step = next(x for x in report.steps if x.name == "certificate")
     assert (step.status, step.detail) == ("fail", {"factors": 1})
@@ -159,7 +166,7 @@ def test_a_witness_for_another_word_fails_its_step(monkeypatch):
         step = proves_a_relator(full.with_relators(
             [r for j, r in enumerate(full.relators) if j != i]))
         chains[i] = Derivation(step.target, (step,))
-    monkeypatch.setattr(Scenario, "derivations", lambda self: chains)
+    monkeypatch.setattr(Scenario, "witnesses", frozen(chains))
     report = verify.run_scenario("redundancy-nine")
     relators = [x for x in report.steps if x.name.startswith("relator-")]
     assert len(relators) == len(chains)

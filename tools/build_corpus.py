@@ -5,7 +5,11 @@ The sources are `scenarios.json` and every file a scenario names under a
 key other than the derived ones (`DERIVED`): the hand-written `.grp`
 presentations.  They are read through `fpverify.corpus` and copied into
 `CORPUS` unchanged.  A derived file is never copied, only recomputed, and
-each is verified before it is frozen.  A scenario's `expected` fields
+each witness file is checked after it is written: its bytes are read back
+as a replay reads them (`fpverify.corpus.read_witnesses`) and every
+witness is checked by `fpverify.checker`, raising `BuildError` unless
+each proves its target.  No check is an `assert`, so `python -O` skips
+none.  A scenario's `expected` fields
 choose its work, as they choose its pipeline in `fpverify.verify`:
 
 - `eliminate`: eliminate the listed generators, in order, from the union
@@ -37,11 +41,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fpverify import (  # noqa: E402
-    Derivation, Presentation, Scenario, derive_all, derive_by_collapse,
+    Derivation, Presentation, Scenario, Word, derive_all, derive_by_collapse,
     eliminate_generator, list_scenarios, parse_presentation, parse_word,
-    search_certificate, verify_certificate, verify_derivation)
+    search_certificate)
+from fpverify.checker import (  # noqa: E402
+    Alphabet, check_certificate, check_derivation, read_certificate,
+    read_derivation)
 from fpverify.corpus import (  # noqa: E402
-    MANIFEST, REGISTRY, _in_manifest, corpus_path)
+    MANIFEST, REGISTRY, _in_manifest, corpus_path, read_witnesses)
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "fpverify" / "corpus"
 
@@ -57,6 +64,15 @@ REDUNDANT_SHALLOW = (0, 1, 14, 16)
 # the eliminated presentation's header comment, its counts in words
 RAW_COMMENT = ("Seventeen relators over eight generators, produced by "
                "eliminating\n{} from the union of {} and {}.")
+
+
+class BuildError(Exception):
+    """A file the builder computed does not check."""
+
+
+def require(ok: bool, message: str) -> None:
+    if not ok:
+        raise BuildError(message)
 
 
 def format_grp(p: Presentation, name: str, comment: str = "") -> str:
@@ -81,8 +97,25 @@ def write_json(name: str, data) -> None:
     write(name, (json.dumps(data, indent=1) + "\n").encode("utf-8"))
 
 
-def freeze(name: str, witnesses: dict) -> None:
+def freeze(name: str, witnesses: dict, read, check,
+           over: dict[int, tuple[Presentation, Word]]) -> None:
+    """Write witnesses to name, then read the written bytes back as a
+    replay does and check witness i with the checker's read and check
+    over over[i], a (presentation, target) pair."""
     write_json(name, {str(k): w.to_json() for k, w in witnesses.items()})
+    written = read_witnesses(name, (CORPUS / name).read_bytes(),
+                             lambda doc: doc)
+    require(sorted(written) == sorted(over),
+            f"{name}: witnesses for {sorted(written)}, not {sorted(over)}")
+    for i, doc in written.items():
+        p, target = over[i]
+        alphabet = Alphabet(p.generators)
+        encode = alphabet.encode
+        frozen, witness = read(doc, alphabet)
+        require(frozen == encode(target.letters)
+                and check([encode(r.letters) for r in p.relators], frozen,
+                          witness),
+                f"{name}[{str(i)!r}]: does not prove its target {target}")
 
 
 def build_elimination(s: Scenario) -> None:
@@ -96,27 +129,28 @@ def build_elimination(s: Scenario) -> None:
     stems = (Path(s.files[key]).stem for key in ("base", "new"))
     text = format_grp(raw, Path(name).stem, RAW_COMMENT.format(
         ", ".join(s.expected["eliminate"]), *stems))
-    assert parse_presentation(text) == raw
+    require(parse_presentation(text) == raw,
+            f"{name}: does not parse back to the eliminated presentation")
     write(name, text.encode("utf-8"))
 
     for key, p, q in (("full_from_raw", raw, massaged),
                       ("raw_from_full", massaged, raw)):
         certs = derive_all(p, list(q.relators))
-        # derive_all verifies each certificate it returns
-        assert sorted(certs) == list(range(len(q.relators))), sorted(certs)
-        freeze(s.files[key], certs)
+        freeze(s.files[key], certs, read_certificate, check_certificate,
+               {i: (p, r) for i, r in enumerate(q.relators)})
 
 
 def build_certificate(s: Scenario) -> None:
     base = s.presentation("base")
-    cert = search_certificate(base, parse_word(s.expected["target"]))
-    assert verify_certificate(base, cert)
-    freeze(s.files["certificates"], {0: cert})
+    target = parse_word(s.expected["target"])
+    freeze(s.files["certificates"], {0: search_certificate(base, target)},
+           read_certificate, check_certificate, {0: (base, target)})
 
 
 def build_derivations(s: Scenario) -> None:
     full = s.presentation()
     derivations: dict[int, Derivation] = {}
+    over = {}
     for i in sorted(s.expected["certified_indices"]):
         rest = full.with_relators(
             [r for j, r in enumerate(full.relators) if j != i])
@@ -125,10 +159,11 @@ def build_derivations(s: Scenario) -> None:
             d = Derivation(target, (search_certificate(rest, target),))
         else:
             d = derive_by_collapse(rest, target)
-        assert verify_derivation(rest, d)
         derivations[i] = d
+        over[i] = (rest, target)
         print(f"relator {i}: {len(d.steps)} step(s)")
-    freeze(s.files["derivations"], derivations)
+    freeze(s.files["derivations"], derivations, read_derivation,
+           check_derivation, over)
 
 
 # Each scenario gets the work of every expected field it carries.
