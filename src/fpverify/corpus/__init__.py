@@ -7,14 +7,18 @@ the verbatim source claim it reproduces, ``*.certs.json`` /
 ``*.derivations.json`` frozen witnesses, and ``manifest.json`` pinning a
 sha256 per file so silent edits fail loudly.
 
-A replay works from one checked snapshot of the corpus: it reads the
-manifest once, reads and hashes each file the first time a scenario
-names it (`read_checked`), and parses or decodes only those checked
-bytes, each presentation once per convention.  A file that differs from
-its digest is never parsed, and no file is read again after its check.
-The snapshot lives for one run; nothing is cached between runs.  A
-scenario from `load_scenario` outside a replay reads its files on each
-call, unchecked.
+Every library read of a corpus file goes through a snapshot, one
+checked view of the corpus.  `list_scenarios` and `load_scenario` each
+make one, which reads `scenarios.json` once and parses the registry from
+those bytes, the ones a replay's `manifest` step hashes; the scenarios
+they return carry it, and a `Scenario` built directly gets one of its
+own.  A snapshot reads the manifest once, reads and hashes each file the
+first time it is needed, and parses or decodes only checked bytes, each
+presentation once per convention.  A loader, in a replay or outside one,
+raises ValueError naming a file whose bytes are missing or differ from
+the manifest, and no file is read again after its check.  Nothing
+outlives its snapshot: the next call reads every file afresh, and sees
+an edit of the registry.
 
 A witness file is a JSON object keyed by indices in canonical decimal,
 each key once (`read_witnesses`).  `Scenario.witnesses` reads one with a
@@ -28,8 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 from json.decoder import scanstring
 from pathlib import Path
 
@@ -51,16 +54,19 @@ class Scenario:
     expected: dict
     source_claim: str
     source_location: str
-    # the snapshot a replay's loaders read through; None reads the file
-    # on each call, unchecked
-    _snapshot: _Snapshot | None = field(default=None, init=False,
-                                        repr=False, compare=False)
+    # the snapshot this scenario's loaders read through: the one it was
+    # listed from, or one of its own
+    _snapshot: _Snapshot = field(default_factory=lambda: _Snapshot(),
+                                 repr=False, compare=False)
+
+    def mismatches(self) -> list[str]:
+        """A message for each file replaying this scenario reads, the
+        registry and the files it names, that is missing or differs from
+        the manifest; or the one message why the manifest is unreadable."""
+        return self._snapshot.mismatches((REGISTRY, *self.files.values()))
 
     def presentation(self, key: str = "presentation",
                      convention: str = CONVENTION_DEFAULT) -> Presentation:
-        if self._snapshot is None:
-            return load_corpus_presentation(self.files[key],
-                                            convention=convention)
         return self._snapshot.presentation(self.files[key], convention)
 
     def certificates(self, key: str = "certificates") -> dict[int, Certificate]:
@@ -73,8 +79,7 @@ class Scenario:
         """The frozen witness file under key as ``{index: read(doc)}``,
         as `read_witnesses` reads it."""
         name = self.files[key]
-        return read_witnesses(name, _read(name) if self._snapshot is None
-                              else self._snapshot.data(name), read)
+        return read_witnesses(name, self._snapshot.data(name), read)
 
 
 def read_witnesses(name: str, data: bytes, read) -> dict:
@@ -153,15 +158,18 @@ def corpus_path(name: str) -> Path:
 
 
 def _read(name: str) -> bytes:
-    """The bytes of corpus file name; every read of the corpus is one
-    call of this."""
-    return corpus_path(name).read_bytes()
+    """The bytes of corpus file name, or ValueError when it is missing;
+    every library read of a corpus file is one call of this, made by a
+    snapshot."""
+    try:
+        return corpus_path(name).read_bytes()
+    except FileNotFoundError as e:
+        raise ValueError(str(e)) from None
 
 
 def load_corpus_presentation(name: str,
                              convention: str = CONVENTION_DEFAULT) -> Presentation:
-    return parse_presentation(_read(name).decode("utf-8"),
-                              convention=convention)
+    return _Snapshot().presentation(name, convention)
 
 
 # each registry entry's fields with their types
@@ -170,12 +178,12 @@ _ENTRY_FIELDS = {"id": str, "description": str, "files": dict,
                  "source_location": str}
 
 
-@lru_cache(maxsize=None)
-def _registry() -> dict[str, Scenario]:
-    """The registered scenarios by id; raises ValueError naming the
-    registry when it is not JSON or an entry is malformed."""
+def _registry(data: bytes, snapshot: _Snapshot) -> dict[str, Scenario]:
+    """The scenarios registered in data, the registry's bytes, by id, each
+    reading through snapshot; raises ValueError naming the registry when
+    it is not JSON or an entry is malformed."""
     try:
-        entries = json.loads(_read(REGISTRY))
+        entries = json.loads(data)
     except ValueError as e:
         raise ValueError(f"{REGISTRY}: not JSON: {e}") from None
     if type(entries) is not list:
@@ -197,96 +205,88 @@ def _registry() -> dict[str, Scenario]:
         if not all(type(f) is str for f in fields["files"].values()):
             raise ValueError(f"{REGISTRY}[{k}]: 'files' must map keys to "
                              f"file names")
-        out[fields["id"]] = Scenario(**fields)
+        out[fields["id"]] = Scenario(**fields, _snapshot=snapshot)
     return out
 
 
 def list_scenarios() -> list[Scenario]:
-    return [s for _, s in sorted(_registry().items())]
+    return [s for _, s in sorted(_Snapshot().scenarios().items())]
 
 
 def load_scenario(scenario_id: str) -> Scenario:
-    registry = _registry()
+    registry = _Snapshot().scenarios()
     if scenario_id not in registry:
         known = ", ".join(sorted(registry))
         raise KeyError(f"unknown scenario {scenario_id!r}; known: {known}")
     return registry[scenario_id]
 
 
-def read_checked(name: str, digest: str | None) -> bytes:
-    """The bytes of corpus file name, read once and hashed; raises
-    ValueError with the mismatch message when the file is missing or its
-    SHA-256 is not digest (None for a file the manifest does not pin)."""
-    try:
-        data = _read(name)
-    except FileNotFoundError as e:
-        raise ValueError(str(e)) from None
-    actual = hashlib.sha256(data).hexdigest()
-    if actual != digest:
-        raise ValueError(f"corpus file {name} checksum mismatch: "
-                         f"{actual} != {digest}")
-    return data
-
-
-def _manifest() -> dict[str, str]:
-    """The manifest's digests by file name; raises ValueError unless it
-    holds an object of name -> digest strings."""
-    manifest = json.loads(_read(MANIFEST))
-    if type(manifest) is not dict or not all(
-            type(d) is str for d in manifest.values()):
-        raise ValueError(f"{MANIFEST} must hold an object of file name -> "
-                         f"sha256 strings")
-    return manifest
-
-
 class _Snapshot:
-    """One run's checked view of the corpus: the manifest read once, each
-    file's checked bytes or the message why they do not match, and the
-    presentations parsed from those bytes by (file, convention)."""
+    """One checked view of the corpus: the manifest read once, each file
+    read once and its checked bytes or the message why they do not match,
+    and the presentations parsed from checked bytes by (file, convention)."""
 
     def __init__(self):
         self._digests: dict[str, str] | str | None = None
-        self._files: dict[str, bytes | str] = {}
+        self._raw: dict[str, bytes] = {}
+        self._checked: dict[str, bytes | str] = {}
         self._presentations: dict[tuple[str, str], Presentation] = {}
 
-    def _digests_or_error(self) -> dict[str, str] | str:
-        """The manifest's digests, or why it is unreadable; read once."""
+    def _bytes(self, name: str) -> bytes:
+        """name's bytes, read the first time only."""
+        if name not in self._raw:
+            self._raw[name] = _read(name)
+        return self._raw[name]
+
+    def scenarios(self) -> dict[str, Scenario]:
+        """The registered scenarios by id, each reading through this
+        snapshot, parsed from the registry's bytes whether or not they
+        match the manifest: each replay's `manifest` step checks those
+        bytes.  Not kept here, so that a snapshot and its scenarios make
+        no reference cycle, which would hold every byte read until the
+        next garbage collection."""
+        return _registry(self._bytes(REGISTRY), self)
+
+    def digests(self) -> dict[str, str]:
+        """The manifest's digests by file name, read once; raises
+        ValueError with why the manifest is unreadable unless it holds an
+        object of name -> digest strings."""
         if self._digests is None:
             try:
-                self._digests = _manifest()
-            except (OSError, ValueError) as e:  # missing, or not JSON
+                digests = json.loads(_read(MANIFEST))
+                if type(digests) is not dict or not all(
+                        type(d) is str for d in digests.values()):
+                    raise ValueError(f"{MANIFEST} must hold an object of "
+                                     f"file name -> sha256 strings")
+                self._digests = digests
+            except (OSError, ValueError) as e:  # missing or malformed
                 self._digests = f"{MANIFEST} unreadable: {e}"
+        if type(self._digests) is str:
+            raise ValueError(self._digests)
         return self._digests
 
     def _check(self, name: str) -> bytes | str:
-        """name's checked bytes, or why they are not; the file is read
-        and hashed the first time only."""
-        digests = self._digests_or_error()
-        if type(digests) is str:
-            return digests
-        if name not in self._files:
+        """name's checked bytes, or why they are not; the file is hashed
+        the first time only."""
+        if name not in self._checked:
             try:
-                self._files[name] = read_checked(name, digests.get(name))
+                digest = self.digests().get(name)
+                data = self._bytes(name)
+                actual = hashlib.sha256(data).hexdigest()
+                if actual != digest:
+                    raise ValueError(f"corpus file {name} checksum mismatch: "
+                                     f"{actual} != {digest}")
+                self._checked[name] = data
             except ValueError as e:
-                self._files[name] = str(e)
-        return self._files[name]
+                self._checked[name] = str(e)
+        return self._checked[name]
 
-    def mismatches(self, s: Scenario) -> list[str]:
-        """A message for each file replaying s reads, the registry and
-        the files s names, that is missing or differs from the manifest;
-        or the one message why the manifest is unreadable."""
-        digests = self._digests_or_error()
-        if type(digests) is str:
-            return [digests]
-        checked = [self._check(n) for n in (REGISTRY, *s.files.values())]
-        return [c for c in checked if type(c) is str]
-
-    def bind(self, s: Scenario) -> Scenario:
-        """s with its loaders reading through this snapshot; call after
-        `mismatches(s)` came back empty."""
-        bound = replace(s)
-        object.__setattr__(bound, "_snapshot", self)
-        return bound
+    def mismatches(self, names) -> list[str]:
+        """A message for each file of names that is missing or differs
+        from the manifest, or the one message why the manifest is
+        unreadable."""
+        return list(dict.fromkeys(
+            c for c in map(self._check, names) if type(c) is str))
 
     def data(self, name: str) -> bytes:
         """name's checked bytes; raises ValueError saying why not."""
@@ -311,10 +311,12 @@ def _in_manifest(path: Path) -> bool:
 
 
 def verify_checksums() -> None:
-    """Raise if any corpus file is missing or differs from the manifest."""
-    manifest = _manifest()
+    """Raise ValueError if the manifest is missing or malformed, or any
+    corpus file is missing, differs from it or is not listed in it."""
+    snapshot = _Snapshot()
+    manifest = snapshot.digests()
     for name in sorted(manifest):
-        read_checked(name, manifest[name])
+        snapshot.data(name)
     on_disk = {p.name for p in CORPUS_DIR.iterdir() if _in_manifest(p)}
     extra = on_disk - set(manifest)
     missing = set(manifest) - on_disk

@@ -29,9 +29,9 @@ so that the recursive descent never runs out of stack.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .checker import Alphabet, _fields, _list, read_word
 from .words import (

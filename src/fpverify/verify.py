@@ -17,12 +17,18 @@ checked there, with no word object built for it: `redundancy-nine`'s
 a relator the presentation does not have included, raises ValueError
 naming the file, the key and the field or factor.
 
-A replay reads the corpus through one run's snapshot (`fpverify.corpus`):
-its `manifest` step reads and hashes the files no earlier scenario of the
-run named, and its pipeline takes every file through the scenario's
-loaders, which parse or decode only those checked bytes.  `run_all`
-shares one snapshot between its scenarios, so each step's time includes
-the reads it is first to make; `run_scenario` alone makes its own.
+A replay reads the corpus through the snapshot its scenario carries
+(`fpverify.corpus`); every library read of a corpus file goes through
+one.  The snapshot parsed the registry once, from the bytes the replay's
+`manifest` step hashes, so a replay runs the registry it checked.  That
+step also reads and hashes the files no earlier scenario of the snapshot
+named, and the pipeline takes every file through the scenario's loaders,
+which parse or decode only those checked bytes; outside a replay the
+loaders refuse, with ValueError, bytes that differ from the manifest.
+`run_all` replays the scenarios of one `list_scenarios` call, which share
+one snapshot, so each step's time includes the reads it is first to
+make; `run_scenario` given an id loads the scenario, and with it a
+snapshot, of its own.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .checker import (
     read_certificate,
     read_derivation,
 )
-from .corpus import Scenario, _Snapshot, list_scenarios, load_scenario
+from .corpus import Scenario, list_scenarios, load_scenario
 from .coset import DEFAULT_MAX_COSETS, DEFAULT_STRATEGY, enumerate_cosets
 from .presentation import (
     Presentation,
@@ -300,21 +306,22 @@ def _pipeline(s: Scenario):
     return matches[0]
 
 
-def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
+def run_scenario(scenario_id: str | Scenario,
+                 convention: str = CONVENTION_DEFAULT,
                  max_cosets: int = DEFAULT_MAX_COSETS,
-                 strategy: str = DEFAULT_STRATEGY, *,
-                 _snapshot: _Snapshot | None = None) -> RunReport:
+                 strategy: str = DEFAULT_STRATEGY) -> RunReport:
+    """Replay the scenario registered as scenario_id, or scenario_id
+    itself when it is a Scenario, through the snapshot it carries."""
     # the run and its first step include looking up the scenario and
-    # reading and hashing the files no earlier scenario of the run read;
-    # a scenario whose files differ from the manifest is not replayed
+    # reading and hashing the files no earlier scenario of its snapshot
+    # read; a scenario whose files differ from the manifest is not replayed
     t0 = time.monotonic()
     steps = _Steps()
-    snapshot = _Snapshot() if _snapshot is None else _snapshot
-    s = load_scenario(scenario_id)
-    mismatches = snapshot.mismatches(s)
+    s = (scenario_id if isinstance(scenario_id, Scenario)
+         else load_scenario(scenario_id))
+    mismatches = s.mismatches()
     if steps.check("manifest", not mismatches, mismatches=mismatches):
-        _pipeline(s)(snapshot.bind(s), steps, convention, max_cosets,
-                     strategy)
+        _pipeline(s)(s, steps, convention, max_cosets, strategy)
     return RunReport(scenario=s.id, convention=convention,
                      steps=steps.results, source_claim=s.source_claim,
                      source_location=s.source_location,
@@ -324,9 +331,8 @@ def run_scenario(scenario_id: str, convention: str = CONVENTION_DEFAULT,
 def run_all(convention: str = CONVENTION_DEFAULT,
             max_cosets: int = DEFAULT_MAX_COSETS,
             strategy: str = DEFAULT_STRATEGY) -> list[RunReport]:
-    """Every scenario replayed from one snapshot of the corpus, so each
-    file is read, hashed and parsed once per call."""
-    snapshot = _Snapshot()
-    return [run_scenario(s.id, convention=convention, max_cosets=max_cosets,
-                         strategy=strategy, _snapshot=snapshot)
-            for s in list_scenarios()]
+    """The scenarios of one `list_scenarios` call replayed from the
+    snapshot they share, so each file is read, hashed and parsed once per
+    call."""
+    return [run_scenario(s, convention=convention, max_cosets=max_cosets,
+                         strategy=strategy) for s in list_scenarios()]

@@ -21,7 +21,7 @@ without wrapping either in a ``Word``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 # a generator name, as the presentation grammar's tokenizer and the name
 # check both read it

@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -351,3 +353,28 @@ def test_frozen_artifacts_validate_against_schemas():
     with open(corpus_path("redundancy-nine.derivations.json")) as fh:
         for d in json.load(fh).values():
             validate(d, "derivation")
+
+
+def test_the_cli_imports_no_typing():
+    # annotations are never evaluated, so fpverify needs no `typing`; the
+    # standard-library modules it imports come first, so a Python that
+    # loads `typing` for one of them does not fail this
+    src = Path(__file__).resolve().parents[1] / "src"
+    stdlib = set()
+    for path in (src / "fpverify").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                stdlib.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                stdlib.add(node.module)
+    stdlib -= {"__future__", "fpverify", "typing"}
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            f"import {', '.join(sorted(stdlib))}\n"
+            f"before = 'typing' in sys.modules\n"
+            f"import fpverify.cli\n"
+            f"print(before, 'typing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == "True" or after == "False"

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import importlib.util
 import json
 import re
 import shutil
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,13 +72,11 @@ def test_checksums_pinned():
     ('{"0": {"target": [], "factors": null}}',
      r"bad\.certs\.json\['0'\]: factors must be a list"),
 ])
-def test_a_malformed_witness_file_is_a_value_error(tmp_path, monkeypatch,
-                                                   text, error):
+def test_a_malformed_witness_file_is_a_value_error(corpus_copy, text, error):
+    repin(corpus_copy, "bad.certs.json", text)
     s = replace(corpus.load_scenario("derive-gx2"),
                 files={"certificates": "bad.certs.json",
                        "derivations": "bad.certs.json"})
-    (tmp_path / "bad.certs.json").write_text(text)
-    monkeypatch.setattr(corpus, "CORPUS_DIR", tmp_path)
     with pytest.raises(ValueError, match=error):
         s.certificates()
     with pytest.raises(ValueError, match=error.split(":")[0]):
@@ -93,10 +93,9 @@ def corpus_copy(tmp_path, monkeypatch):
     return tmp_path
 
 
-def repin(directory, name, data):
-    """Write data, a JSON value, to the corpus file name in directory and
-    pin its new digest in the manifest, as a deliberate edit would."""
-    text = json.dumps(data)
+def repin(directory, name, text):
+    """Write text to the corpus file name in directory and pin its new
+    digest in the manifest, as a deliberate edit would."""
     (directory / name).write_text(text)
     manifest = json.loads((directory / corpus.MANIFEST).read_text())
     manifest[name] = hashlib.sha256(text.encode()).hexdigest()
@@ -120,7 +119,7 @@ def test_a_witness_naming_a_missing_relator_is_malformed(
     for key in path:
         factor = factor[key]
     factor["relator"] = 99
-    repin(corpus_copy, name, data)
+    repin(corpus_copy, name, json.dumps(data))
     message = f"{name}{where}: relator index 99 out of range"
     with pytest.raises(ValueError, match=re.escape(message)):
         run_scenario(scenario)
@@ -135,14 +134,14 @@ def test_a_witness_under_a_repeated_index_is_rejected(corpus_copy, capsys):
     good = json.loads((corpus_copy / name).read_text())["0"]
     flipped = json.loads(json.dumps(good))
     flipped["factors"][0]["sign"] *= -1
-    repin(corpus_copy, name, {"0": flipped, "00": good})
+    repin(corpus_copy, name, json.dumps({"0": flipped, "00": good}))
     message = f"{name}['00']: key must be an index in canonical decimal"
     with pytest.raises(ValueError, match=re.escape(message)):
         corpus.load_scenario("derive-gx2").certificates()
     assert main(["verify", "--scenario", "derive-gx2"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     # and the flipped certificate alone fails its step
-    repin(corpus_copy, name, {"0": flipped})
+    repin(corpus_copy, name, json.dumps({"0": flipped}))
     report = run_scenario("derive-gx2")
     step = next(x for x in report.steps if x.name == "certificate")
     assert step.status == "fail"
@@ -241,9 +240,67 @@ def test_a_replay_parses_the_bytes_it_hashed(monkeypatch):
     assert all(r.status == "pass" for r in run_all())
     assert sorted(parsed) == sorted(
         data.decode() for name, data in first.items() if name.endswith(".grp"))
-    # a loader outside a replay reads the file afresh
-    fresh = corpus.load_scenario("pi1-N-full").presentation()
-    assert fresh.generators == ("a",)
+
+
+def test_a_loader_refuses_bytes_that_differ_from_the_manifest(corpus_copy):
+    # outside a replay too: an altered file is never parsed
+    target = corpus_copy / "pi1-N-full.grp"
+    target.write_text(target.read_text().replace("x q x = q x q",
+                                                 "x q x = q q x"))
+    message = "corpus file pi1-N-full.grp checksum mismatch: "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus.load_scenario("pi1-N-full").presentation()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus.load_corpus_presentation("pi1-N-full.grp")
+
+
+def test_a_snapshot_is_freed_with_its_scenarios():
+    # a snapshot holds every byte it read: a reference cycle between it
+    # and its scenarios would keep them until the next garbage collection
+    gc.disable()
+    try:
+        s = corpus.load_scenario("pi1-N-full")
+        s.presentation()
+        snapshot = weakref.ref(s._snapshot)
+        del s
+        assert snapshot() is None
+    finally:
+        gc.enable()
+
+
+def test_a_registry_edit_is_seen_by_the_next_replay(corpus_copy):
+    # a re-pinned edit between two replays in one process: the second
+    # replays the registry its manifest step checked, not the first one's
+    assert run_scenario("redundancy-nine").status == "pass"
+    registry = corpus_copy / corpus.REGISTRY
+    text = registry.read_text()
+    edited = text.replace('"redundant_count_at_least": 9',
+                          '"redundant_count_at_least": 12')
+    assert edited != text
+    repin(corpus_copy, corpus.REGISTRY, edited)
+    report = run_scenario("redundancy-nine")
+    assert report.steps[0].name == "manifest"
+    assert report.steps[0].status == "pass"
+    count = report.steps[-1]
+    assert (count.name, count.status) == ("count", "fail")
+    assert count.detail == {"certified": 11, "required": 12}
+
+
+def test_a_missing_registry_is_an_input_error(corpus_copy, capsys):
+    (corpus_copy / corpus.REGISTRY).unlink()
+    message = "corpus file not found: scenarios.json"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus.list_scenarios()
+    for args in (["verify", "--all"], ["verify", "--scenario", "derive-gx2"]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_missing_manifest_is_an_input_error(corpus_copy):
+    (corpus_copy / corpus.MANIFEST).unlink()
+    with pytest.raises(ValueError, match=re.escape(
+            "manifest.json unreadable: corpus file not found: manifest.json")):
+        corpus.verify_checksums()
 
 
 @pytest.mark.parametrize("text", ["[]", '{"scenarios.json": 1}'])
@@ -259,16 +316,7 @@ def test_a_manifest_that_is_not_an_object_fails_the_step(corpus_copy, text):
         corpus.verify_checksums()
 
 
-@pytest.fixture
-def fresh_registry():
-    """The registry read afresh from the corpus in use, and again after."""
-    corpus._registry.cache_clear()
-    yield
-    corpus._registry.cache_clear()
-
-
-def test_a_registry_entry_without_a_description(corpus_copy, fresh_registry,
-                                                capsys):
+def test_a_registry_entry_without_a_description(corpus_copy, capsys):
     registry = corpus_copy / corpus.REGISTRY
     entries = json.loads(registry.read_text())
     del entries[3]["description"]
@@ -294,8 +342,7 @@ def test_a_registry_entry_without_a_description(corpus_copy, fresh_registry,
      ' "files": {"presentation": 3}}]',
      r"scenarios\.json\[0\]: 'files' must map keys to file names"),
 ])
-def test_a_malformed_registry_is_a_value_error(corpus_copy, fresh_registry,
-                                               text, error):
+def test_a_malformed_registry_is_a_value_error(corpus_copy, text, error):
     (corpus_copy / corpus.REGISTRY).write_text(text)
     with pytest.raises(ValueError, match=error):
         corpus.load_scenario("pi1-E0-tilde")
@@ -506,6 +553,23 @@ def test_the_builder_refuses_a_witness_that_does_not_check(tmp_path,
         build.main()
     assert (tmp_path / "conjugacy-x.certs.json").is_file()
     assert not (tmp_path / corpus.MANIFEST).exists()
+
+
+def test_the_builder_reads_an_edited_source_and_pins_it(corpus_copy,
+                                                        monkeypatch):
+    # a source edited and not yet pinned, as before a rebuild: the builder
+    # parses its raw bytes, which a checked loader would refuse, and the
+    # manifest it writes pins them
+    name = corpus.load_scenario("conjugacy-x").files["base"]
+    edited = b"# edited\n" + (corpus_copy / name).read_bytes()
+    (corpus_copy / name).write_bytes(edited)
+    with pytest.raises(ValueError, match=f"{name} checksum mismatch"):
+        corpus.load_corpus_presentation(name)
+    build = load_builder(monkeypatch, corpus_copy)
+    build.main()
+    pinned = json.loads((corpus_copy / corpus.MANIFEST).read_text())
+    assert pinned[name] == hashlib.sha256(edited).hexdigest()
+    corpus.verify_checksums()
 
 
 def test_build_corpus_reproduces_the_frozen_corpus(tmp_path, monkeypatch):

@@ -98,27 +98,33 @@ def test_gap_redundancy_derives_by_collapse_alone(monkeypatch):
 
 
 def test_run_all_reads_each_file_once_per_run(monkeypatch):
-    # one run reads the manifest and every file a scenario names once,
-    # and parses each presentation file once; a second run reads and
-    # parses them all again, because nothing is kept between runs
-    scenarios = list_scenarios()  # the registry is read once per process
-    reads, parses = Counter(), Counter()
+    # one run reads the manifest, the registry and every file a scenario
+    # names once, parses the registry once, from the bytes its manifest
+    # steps hash, and parses each presentation file once; a second run
+    # reads and parses them all again, because nothing is kept between runs
+    named = {name for s in list_scenarios() for name in s.files.values()}
+    reads, parses, registries = Counter(), Counter(), Counter()
     read, parse = corpus._read, corpus.parse_presentation
+    registry = corpus._registry
     monkeypatch.setattr(corpus, "_read",
                         lambda name: reads.update([name]) or read(name))
     monkeypatch.setattr(corpus, "parse_presentation", lambda text, **kw:
                         parses.update([text]) or parse(text, **kw))
-    named = {name for s in scenarios for name in s.files.values()}
+    monkeypatch.setattr(corpus, "_registry", lambda data, snapshot:
+                        registries.update([data]) or registry(data, snapshot))
     for _ in range(2):
         reads.clear()
         parses.clear()
+        registries.clear()
         assert all(r.status == "pass" for r in run_all())
         assert reads == Counter({corpus.MANIFEST, corpus.REGISTRY, *named})
+        assert registries == Counter([read(corpus.REGISTRY)])
         assert parses == Counter(read(name).decode() for name in named
                                  if name.endswith(".grp"))
-    # a scenario replayed alone reads only its own files, once each
-    reads.clear()
+    # a scenario replayed alone reads only the registry and its own
+    # files, once each
     s = corpus.load_scenario("elimination-y-w")
+    reads.clear()
     assert verify.run_scenario(s.id).status == "pass"
     assert reads == Counter({corpus.MANIFEST, corpus.REGISTRY,
                              *s.files.values()})

@@ -3,8 +3,11 @@
 
 The sources are `scenarios.json` and every file a scenario names under a
 key other than the derived ones (`DERIVED`): the hand-written `.grp`
-presentations.  They are read through `fpverify.corpus` and copied into
-`CORPUS` unchanged.  A derived file is never copied, only recomputed, and
+presentations.  They are copied into `CORPUS` unchanged and parsed from
+their raw bytes (`source`), not through the library's checked loaders:
+the builder runs after a source is edited and before it pins the edit in
+the manifest, and `list_scenarios` parses the registry whether or not
+its bytes match.  A derived file is never copied, only recomputed, and
 each witness file is checked after it is written: its bytes are read back
 as a replay reads them (`fpverify.corpus.read_witnesses`) and every
 witness is checked by `fpverify.checker`, raising `BuildError` unless
@@ -88,6 +91,11 @@ def format_grp(p: Presentation, name: str, comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def source(s: Scenario, key: str = "presentation") -> Presentation:
+    """The presentation in s's source file under key, from its raw bytes."""
+    return parse_presentation(corpus_path(s.files[key]).read_bytes().decode())
+
+
 def write(name: str, data: bytes) -> None:
     (CORPUS / name).write_bytes(data)
     print(f"wrote {name} ({len(data)} bytes)")
@@ -119,8 +127,8 @@ def freeze(name: str, witnesses: dict, read, check,
 
 
 def build_elimination(s: Scenario) -> None:
-    base, new = s.presentation("base"), s.presentation("new")
-    massaged = s.presentation("massaged")
+    base, new = source(s, "base"), source(s, "new")
+    massaged = source(s, "massaged")
     raw = Presentation(new.generators, base.relators + new.relators)
     for gen in s.expected["eliminate"]:
         raw, move = eliminate_generator(raw, gen)
@@ -141,14 +149,14 @@ def build_elimination(s: Scenario) -> None:
 
 
 def build_certificate(s: Scenario) -> None:
-    base = s.presentation("base")
+    base = source(s, "base")
     target = parse_word(s.expected["target"])
     freeze(s.files["certificates"], {0: search_certificate(base, target)},
            read_certificate, check_certificate, {0: (base, target)})
 
 
 def build_derivations(s: Scenario) -> None:
-    full = s.presentation()
+    full = source(s)
     derivations: dict[int, Derivation] = {}
     over = {}
     for i in sorted(s.expected["certified_indices"]):
