@@ -357,7 +357,11 @@ class _ProofLog:
     `cycles` of the relators' cyclic conjugates, built by
     `coset._add_cycles` as every table's are, and the factor table, which
     maps each of those conjugates u^-1 r_k^s u, as columns, to the proof
-    u^-1 @k^s u.
+    u^-1 @k^s u.  It has no letter code of its own: it encodes and
+    decodes letters through the `alphabet` of the table it serves, whose
+    integer letters are the table's columns and the checker's letters.
+    A table calls `define` for each coset it defines, one at a time or
+    in a fill scan's chain.
 
     With novelty, a merge whose trivial word W(a)*W(b)^-1 is, once
     cyclically reduced, not a key of the factor table, and so outside the
@@ -376,18 +380,15 @@ class _ProofLog:
 
     def attach(self, ct) -> list[list[list[int]]]:
         """Serve ct; returns the scan lists it is to use."""
+        if self.ct is not None and ct.presentation != self.ct.presentation:
+            raise ValueError("a proof log serves the tables of one "
+                             "presentation")
+        self.alphabet = ct.alphabet
         if self.ct is None:
-            self.col = ct.col
             self.cycles = [[] for _ in range(ct.ncols)]
             for r in ct.presentation.relators:
                 self.add_relator(r)
-        elif ct.presentation != self.ct.presentation:
-            raise ValueError("a proof log serves the tables of one "
-                             "presentation")
         self.ct = ct
-        self.letters = [None] * ct.ncols  # column -> letter
-        for letter, x in ct.col.items():
-            self.letters[x] = letter
         # entry proofs, column-major like the table and as long as it
         self.proofs: list[list[_Proof | None]] = [
             [None] * len(ct.table[0]) for _ in range(ct.ncols)]
@@ -401,7 +402,7 @@ class _ProofLog:
         conjugates to the scan lists and the factor table."""
         k = len(self.relators)
         self.relators.append(r)
-        cols = [self.col[let] for let in r.letters]
+        cols = list(map(self.alphabet.index.__getitem__, r.letters))
         inverse = r.inverse()
         for cycle, sign, shift in _add_cycles(self.cycles, cols, self.factors):
             u = _reduced((r if sign == 1 else inverse).letters[:shift])
@@ -410,9 +411,9 @@ class _ProofLog:
 
     def coset_word(self, c: int) -> Word:
         """W(c), rebuilt by walking the definition tree back to coset 0."""
-        letters = []
+        names, letters = self.alphabet.letters, []
         while c:
-            letters.append(self.letters[self.column[c]])
+            letters.append(names[self.column[c]])
             c = self.parent[c]
         letters.reverse()
         return Word(letters)
@@ -505,7 +506,7 @@ class _ProofLog:
         if self.novelty:
             core, conj = (self.coset_word(ra)
                           * self.coset_word(rb).inverse()).cyclic_reduce()
-            if tuple(self.col[let] for let in core.letters) \
+            if tuple(map(self.alphabet.index.__getitem__, core.letters)) \
                     not in self.factors:
                 raise _NewTrivialWord(
                     core, conj.inverse() * self.expand(bridge) * conj)
@@ -529,8 +530,7 @@ class _ProofLog:
         """Proof word whose expansion is w, valid once only coset 0 is live."""
         a = 0
         parts = []
-        for letter in w.letters:
-            x = self.ct.col[letter]
+        for x in map(self.alphabet.index.__getitem__, w.letters):
             parts.append(self.proofs[x][a])
             a = self.ct.table[x][a]
         if a != 0:

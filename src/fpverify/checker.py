@@ -12,9 +12,12 @@ nothing from fpverify but `words`, so a reader who wants to trust a
 verdict reads this file and not the engines that found the witness.
 
 Letters are integers.  An `Alphabet` numbers generator names in the order
-it meets them: the k-th is the letter 2k and its inverse 2k + 1, the
-column code of `CosetTable`, so inverting a letter is ``x ^ 1``.  A word
-is a list of such letters, freely reduced.
+it meets them: the k-th is the letter 2k and its inverse 2k + 1, so
+inverting a letter is ``x ^ 1``.  A word is a list of such letters,
+freely reduced.  A `CosetTable` numbers its columns by an `Alphabet` of
+its generators, and its proof log reads letters through the same one:
+the table, its log and this checker share one letter code, and the
+engines import this module, never the reverse.
 
 `read_word` is the one JSON-word walker: it checks each letter as the
 JSON schemas do, raising ValueError naming the field, and reduces as it

@@ -42,13 +42,16 @@ method call per coset.
 
 Proof logging.  A table may carry a proof log (`certificates._ProofLog`),
 called only where the table changes: a definition, a deduction closed by
-a scan, and each merge and moved entry of a coincidence.  The per-letter
-loops never touch it.  Its proofs are keyed by coset number, so a table
-with a log is never compacted, and they are products of relator factors,
-so a table with a log has no subgroup words.  Its fill scans define
-cosets one at a time through `CosetTable.define`, which logs each.  The
-log owns the relators of a collapse derivation: the presentation's, then
-each lemma it surfaced.  A table with a log scans the log's relator
+a scan, and each merge and moved entry of a coincidence.  The scan's
+trace loops never touch it.  Its proofs are keyed by coset number, so a
+table with a log is never compacted, and they are products of relator
+factors, so a table with a log has no subgroup words.  Its fill scans
+define a gap as the same chain of cosets as a table without one, and
+log each coset of the chain as it is defined.  Table, log and witness checker
+share one letter code: column x is the integer letter x of the table's
+`checker.Alphabet`, and the log reads letters through that alphabet.
+The log owns the relators of a collapse derivation: the presentation's,
+then each lemma it surfaced.  A table with a log scans the log's relator
 cycles, which `_add_cycles` builds as it builds every table's.
 
 Deductions.  Both strategies run one driver that walks the live rows in
@@ -89,6 +92,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
+from .checker import Alphabet
 from .presentation import Presentation
 from .words import Word
 
@@ -155,7 +159,8 @@ class CosetTable:
     `_COLUMN_BLOCK` slots or a quarter of its length, whichever is more.
     Compaction and standardization build new columns, so a caller that
     binds a column must bind it again after either; growth extends the
-    columns in place.
+    columns in place.  `alphabet` is the `checker.Alphabet` of the
+    generators: column x is its integer letter x.
 
     `deductions` is a first-in, first-out queue of changed entries
     (coset, column), drained by the enumeration driver after each relator
@@ -183,18 +188,16 @@ class CosetTable:
         self.presentation = presentation
         self.gens = presentation.generators
         self.ncols = 2 * len(self.gens)
-        self.col = {}
-        for i, g in enumerate(self.gens):
-            self.col[(g, 1)] = 2 * i
-            self.col[(g, -1)] = 2 * i + 1
+        self.alphabet = Alphabet(self.gens)
         self.max_cosets = max_cosets
 
         # relators as column sequences, shortest first for scanning
+        encode = self.alphabet.encode
         rels = sorted(presentation.relators, key=len)
-        self.relator_cols = [self._word_cols(r) for r in rels]
+        self.relator_cols = [encode(r.letters) for r in rels]
         for w in subgroup_gens:
             presentation.check_word(w, "subgroup word")
-        self.subgroup_cols = [self._word_cols(w) for w in subgroup_gens]
+        self.subgroup_cols = [encode(w.letters) for w in subgroup_gens]
 
         self.table: list[list[int | None]] = [
             [None] * _COLUMN_BLOCK for _ in range(self.ncols)]
@@ -218,9 +221,6 @@ class CosetTable:
                     known.add(tuple(cycle))
         else:
             self.cycles = log.attach(self)
-
-    def _word_cols(self, w: Word) -> list[int]:
-        return [self.col[let] for let in w]
 
     # -- basic operations ---------------------------------------------------
 
@@ -368,11 +368,11 @@ class CosetTable:
         closes the trace as a deduction.  The words are freely reduced,
         so neither end moves during the chain, except when f == b and
         word[j]^-1 == word[i]: the first new entry then also extends the
-        backward trace, and that step, like every definition of a table
-        with a proof log, goes through `define`.  At the coset limit the
-        chain defines the cosets that fit and raises `_LimitReached`,
-        leaving the table and its counts as that many `define` calls
-        would.
+        backward trace, and that step goes through `define`.  A proof
+        log records each coset of the chain as it is defined.  At the
+        coset limit the chain defines the cosets that fit and raises
+        `_LimitReached`, leaving the table, its counts and its log as
+        that many `define` calls would.
         """
         table, p, log = self.table, self.p, self.log
         n = len(words)
@@ -401,7 +401,7 @@ class CosetTable:
                 if j > i:
                     if not fill:
                         break
-                    if log is not None or (f == b and word[j] ^ 1 == word[i]):
+                    if f == b and word[j] ^ 1 == word[i]:
                         f, i = self.define(f, word[i]), i + 1
                         continue
                     m = self.max_cosets - self.live_count
@@ -417,6 +417,8 @@ class CosetTable:
                         table[x ^ 1][beta] = f
                         if self.track_deductions:
                             self.deductions.append((f, x))
+                        if log is not None:
+                            log.define(f, x, beta)
                         f, beta = beta, beta + 1
                     self.live_count += m
                     self.defined_total += m
@@ -559,7 +561,7 @@ class CosetTable:
         self.presentation.check_word(w, "word")
         if not (0 <= alpha < len(self.p) and self.p[alpha] == alpha):
             raise ValueError(f"{alpha} is not a live coset")
-        return self._trace(alpha, self._word_cols(w))
+        return self._trace(alpha, self.alphabet.encode(w.letters))
 
 
 # -- strategy drivers -------------------------------------------------------
@@ -695,5 +697,5 @@ def permutation_action(table: CosetTable, w: Word) -> tuple[int, ...]:
     table.presentation.check_word(w, "word")
     if not table.complete:
         raise ValueError("permutation_action requires a completed table")
-    cols = table._word_cols(w)
+    cols = table.alphabet.encode(w.letters)
     return tuple(table._trace(alpha, cols) for alpha in range(table.live_count))

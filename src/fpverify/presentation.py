@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import groupby, zip_longest
 from operator import itemgetter
 
 from .checker import Alphabet, _fields, _list, read_word
@@ -405,6 +406,8 @@ def eliminate_generator(p: Presentation, gen: str,
         if using is None:
             raise NoDefiningRelator(
                 gen, [r for r in p.relators if gen in r.generators()])
+    elif not 0 <= using < len(p.relators):
+        raise ValueError(f"no relator {using} in {p!r}")
     definition = _defining_forms(p.relators[using], gen)
     if definition is None:
         raise NoDefiningRelator(gen, [p.relators[using]])
@@ -473,18 +476,32 @@ def simplify(p: Presentation, budget: int = 1000) -> tuple[Presentation, list[Ti
 
 
 def replay_moves(p: Presentation, moves: Sequence[TietzeMove]) -> Presentation:
-    """Re-apply a recorded move list to reproduce a simplification's output."""
+    """Re-apply a recorded move list to reproduce a simplification's output.
+
+    Each move is checked against the presentation it was recorded on: an
+    elimination must find the definition it recorded, and each run of
+    consecutive drops must name exactly the relators `dedupe_relators`
+    drops there, in its order.  A mismatch raises ValueError."""
     current = p
-    for move in moves:
-        if isinstance(move, EliminateGenerator):
-            current, got = eliminate_generator(current, move.gen,
-                                               using=move.defining_relator_index)
+    for drops, run in groupby(
+            moves, key=lambda m: isinstance(m, DropDuplicateRelator)):
+        if drops:
+            current, dropped = dedupe_relators(current)
+            for got, want in zip_longest(run, dropped):
+                if got != want:
+                    raise ValueError(
+                        f"replay mismatch dropping relator {got.index}"
+                        if got is not None else
+                        f"replay mismatch: relator {want.index} is a "
+                        f"duplicate the moves keep")
+            continue
+        for move in run:
+            if not isinstance(move, EliminateGenerator):
+                raise TypeError(f"unknown move {move!r}")
+            current, got = eliminate_generator(
+                current, move.gen, using=move.defining_relator_index)
             if got.definition != move.definition:
                 raise ValueError(f"replay mismatch eliminating {move.gen}")
-        elif isinstance(move, DropDuplicateRelator):
-            current, _ = dedupe_relators(current)
-        else:
-            raise TypeError(f"unknown move {move!r}")
     return current
 
 

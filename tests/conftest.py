@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fpverify import Word, parse_presentation
+from fpverify import Presentation, Word, parse_presentation
 
 # finite battery: (name, presentation text, known order), orders checked
 # against independent oracles in test_coset
@@ -45,3 +45,13 @@ def random_word(rng: random.Random, gens="abcde", max_len=64) -> Word:
 def random_letters(rng: random.Random, gens="abcde", max_len=64):
     return [(rng.choice(gens), rng.choice((1, -1)))
             for _ in range(rng.randrange(max_len + 1))]
+
+
+def random_small_presentation(rng: random.Random) -> Presentation:
+    """Two or three generators and as many relators, each two to six
+    random letters long."""
+    gens = "abc"[:rng.choice((2, 3))]
+    return Presentation(gens, [
+        Word((rng.choice(gens), rng.choice((1, -1)))
+             for _ in range(rng.randint(2, 6)))
+        for _ in gens])

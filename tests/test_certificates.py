@@ -1,6 +1,8 @@
+import ast
 import copy
 import random
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -24,7 +26,7 @@ from fpverify import (
     verify_certificate,
     verify_derivation,
 )
-from fpverify import certificates
+from fpverify import certificates, checker
 from fpverify.certificates import (
     SearchStats,
     _collapse,
@@ -38,10 +40,10 @@ from fpverify.checker import (Alphabet, check_certificate, check_derivation,
                               product, read_certificate, read_derivation,
                               read_word)
 from fpverify.corpus import load_corpus_presentation, load_scenario
-from fpverify.coset import CosetTable, _run
+from fpverify.coset import STRATEGIES, CosetTable, _run
 from fpverify.words import _product
 
-from conftest import random_word, schema
+from conftest import random_small_presentation, random_word, schema
 
 
 def test_relator_is_its_own_consequence():
@@ -453,7 +455,7 @@ def assert_entry_proofs(log, relators):
         for x, b in enumerate([c[a] for c in log.ct.table]):
             if b is not None:
                 assert expand(log.expand(log.proofs[x][a]), relators) == \
-                    Word(W(a).letters + (log.letters[x],)
+                    Word(W(a).letters + (log.alphabet.letters[x],)
                          + W(b).inverse().letters)
     for c, (parent, proof) in log.merged.items():
         assert expand(log.expand(proof), relators) == \
@@ -484,14 +486,54 @@ def test_proving_table_entry_proofs_expand_to_their_entries(text):
 
 @pytest.mark.parametrize("text", TRIVIAL_GROUPS)
 def test_an_hlt_run_logs_every_fill_definition(text):
-    # HLT's fill scans define a trace's gap as one chain of cosets; with a
-    # log they define one coset at a time, and the log records each
+    # HLT's fill scans define a trace's gap as one chain of cosets, with a
+    # log as without one, and the log records each coset of the chain
     p = parse_presentation(text)
     log = _ProofLog()
     ct = CosetTable(p, max_cosets=1000, log=log)
     assert _run(ct, "hlt") and ct.live_count == 1
     assert len(log.parent) == ct.defined_total
     assert_entry_proofs(log, p.relators)
+
+
+def _counts(ct):
+    return (ct.defined_total, ct.live_count, ct.live_max,
+            ct.coincidence_count, ct.deductions_scanned)
+
+
+def test_a_logged_table_is_the_plain_table():
+    # the log is a pure hook: a logged table takes the steps of the plain
+    # one, except that the plain one compacts and stops once coset 0's row
+    # closes, which a table with a log never does
+    rng = random.Random(2)
+    runs = {"same": 0, "compacted": 0, "index one": 0}
+    for _ in range(150):
+        p = random_small_presentation(rng)
+        for strategy in STRATEGIES:
+            plain = CosetTable(p, max_cosets=64)
+            log = _ProofLog()
+            logged = CosetTable(p, max_cosets=64, log=log)
+            completed = _run(plain, strategy)
+            if _run(logged, strategy):
+                assert_entry_proofs(log, p.relators)
+            if plain.index_one_live:
+                runs["index one"] += 1
+                assert logged.live_count == 1 or not logged.complete
+                continue
+            assert logged.complete == completed, (p, strategy)
+            assert _counts(logged) == _counts(plain), (p, strategy)
+            if plain.compactions:
+                # the same table up to the plain one's renumbering
+                runs["compacted"] += 1
+                logged.compact()
+                plain.compact()
+            else:
+                runs["same"] += 1
+                assert logged.p == plain.p, (p, strategy)
+            n = len(plain.p)
+            assert [c[:n] for c in logged.table] == \
+                [c[:n] for c in plain.table], (p, strategy)
+    assert runs["same"] >= 250 and runs["compacted"] and runs["index one"]
 
 
 def test_a_proof_log_needs_the_trivial_subgroup():
@@ -518,7 +560,7 @@ def test_a_proof_log_extends_its_factors_by_add_relator():
     assert len(log.factors) == 12 and len(log.relators) == 3
     for key, factor in log.factors.items():
         # u^-1 @k^s u expands to the cycle, and k is the relator's index
-        cycle = Word(log.letters[x] for x in key)
+        cycle = Word(log.alphabet.letters[x] for x in key)
         assert expand(factor.word, log.relators) == cycle
         symbol = "@1" if cycle.generators() == {"a"} else "@0"
         assert symbol in factor.word.generators()
@@ -875,6 +917,26 @@ def test_a_lemma_raised_mid_cascade_leaves_the_counts_right(text):
 
 
 # -- the one-pass checker against the object path -----------------------------
+
+def test_the_checker_imports_no_module_of_fpverify_but_words():
+    # a reader who trusts a verdict reads checker.py and words.py, and not
+    # the engines that found the witness, even those that share its letters
+    tree = ast.parse(Path(checker.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                imported.add(node.module)
+            elif node.module:  # relative to the fpverify package
+                imported.add(f"fpverify.{node.module}")
+            else:
+                imported.update(f"fpverify.{alias.name}"
+                                for alias in node.names)
+    assert {m for m in imported if m.split(".")[0] == "fpverify"} == \
+        {"fpverify.words"}
+
 
 def one_pass(p, doc, target) -> bool:
     """The replay's verdict on a JSON certificate over p for target."""

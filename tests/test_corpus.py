@@ -53,6 +53,31 @@ def test_checksums_pinned():
     corpus.verify_checksums()
 
 
+def _unique_keys(pairs):
+    """An object_pairs_hook that rejects a key repeated in one object."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def test_no_corpus_json_file_repeats_a_key_at_any_depth():
+    # json.loads keeps the last value of a repeated key, and the replay
+    # checks for repeats only among a witness file's top-level indices;
+    # the shipped files hold none anywhere
+    with pytest.raises(ValueError, match="repeated key 'sign'"):
+        json.loads('{"0": {"factors": [{"sign": -1, "sign": 1}]}}',
+                   object_pairs_hook=_unique_keys)
+    files = sorted(corpus.CORPUS_DIR.glob("*.json"))
+    manifest = json.loads((corpus.CORPUS_DIR / "manifest.json").read_bytes())
+    assert {p.name for p in files} == \
+        {name for name in manifest if name.endswith(".json")} | {"manifest.json"}
+    for path in files:
+        json.loads(path.read_bytes(), object_pairs_hook=_unique_keys)
+
+
 @pytest.mark.parametrize("text, error", [
     ("[]", r"bad\.certs\.json: must be an object keyed by relator index, got list"),
     ("{", r"bad\.certs\.json: Expecting property name"),

@@ -24,7 +24,7 @@ from fpverify.coset import (
     _run,
 )
 
-from conftest import random_word
+from conftest import random_small_presentation, random_word
 
 
 # -- independent finite-group oracles ---------------------------------------
@@ -590,11 +590,7 @@ def test_engines_agree_on_random_presentations():
     indices_seen = set()
     all_completed = 0
     for _ in range(150):
-        gens = "abc"[:rng.choice((2, 3))]
-        relators = [Word((rng.choice(gens), rng.choice((1, -1)))
-                         for _ in range(rng.randint(2, 6)))
-                    for _ in gens]
-        p = Presentation(gens, relators)
+        p = random_small_presentation(rng)
         indices = {}
         for strategy in STRATEGIES:
             result = enumerate_cosets(p, (), strategy=strategy, max_cosets=limit)
@@ -673,12 +669,12 @@ def test_validate_rejects_each_corruption_of_a_completed_table():
         return ct
 
     ct = completed(s3)
-    ct.table[ct.col[("b", 1)]][0] = None
+    ct.table[ct.alphabet.index[("b", 1)]][0] = None
     with pytest.raises(AssertionError, match="incomplete entry"):
         ct.validate()
     # b sends coset 0 to another live coset, which b^-1 does not send back
     ct = completed(s3)
-    col = ct.table[ct.col[("b", 1)]]
+    col = ct.table[ct.alphabet.index[("b", 1)]]
     col[0] = next(c for c in ct.live_cosets() if c != col[0])
     with pytest.raises(AssertionError, match="involution broken"):
         ct.validate()
@@ -686,14 +682,14 @@ def test_validate_rejects_each_corruption_of_a_completed_table():
     # a acts as a transposition, consistently with a^-1, where a^3 = 1
     ct = completed(parse_presentation("< a | a^3 >"))
     for letter in (("a", 1), ("a", -1)):
-        ct.table[ct.col[letter]][:3] = [1, 0, 2]
+        ct.table[ct.alphabet.index[letter]][:3] = [1, 0, 2]
     with pytest.raises(AssertionError, match="relator open at coset 0"):
         ct.validate()
     # the cosets of <a> with coset 0 swapped for one that a moves: every
     # relator still closes, but a no longer fixes coset 0
     ct = completed(s3, (Word.gen("a"),))
     beta = next(c for c in ct.live_cosets()
-                if ct.table[ct.col[("a", 1)]][c] != c)
+                if ct.table[ct.alphabet.index[("a", 1)]][c] != c)
     swap = {0: beta, beta: 0}
     for col in ct.table:
         old = list(col)

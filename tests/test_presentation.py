@@ -370,6 +370,9 @@ def test_tietze_moves_reject_what_they_cannot_do():
     p = parse_presentation("< a, b | a b^-1 >")
     with pytest.raises(ValueError, match="'z' is not a generator"):
         eliminate_generator(p, "z")
+    for using in (1, -1):  # -1 would read the last relator but not consume it
+        with pytest.raises(ValueError, match=f"no relator {using} in"):
+            eliminate_generator(p, "b", using=using)
     with pytest.raises(ValueError, match="budget must be >= 0"):
         simplify(p, budget=-1)
     out, moves = simplify(p)
@@ -377,6 +380,29 @@ def test_tietze_moves_reject_what_they_cannot_do():
     # relator 0 still defines b, but as a^2 where the move recorded a
     with pytest.raises(ValueError, match="replay mismatch eliminating b"):
         replay_moves(parse_presentation("< a, b | a^2 b^-1 >"), moves)
+
+
+def test_replay_checks_each_run_of_drops_where_it_was_recorded():
+    # a drop names a relator that is not a duplicate, or that is not there
+    p = parse_presentation("< a, b | a^2, b^3 >")
+    with pytest.raises(ValueError, match="replay mismatch dropping relator 7"):
+        replay_moves(p, [DropDuplicateRelator(7)])
+    p = parse_presentation("< a, b | a^2, a^-2, b^3, b^-3 >")
+    assert replay_moves(p, [DropDuplicateRelator(1), DropDuplicateRelator(3)]) \
+        == p.with_relators([p.relators[0], p.relators[2]])
+    # a run that keeps a duplicate, or names the wrong one
+    with pytest.raises(ValueError, match="relator 3 is a duplicate"):
+        replay_moves(p, [DropDuplicateRelator(1)])
+    with pytest.raises(ValueError, match="replay mismatch dropping relator 2"):
+        replay_moves(p, [DropDuplicateRelator(2), DropDuplicateRelator(3)])
+    # the drops after an elimination are checked against its output:
+    # eliminating b leaves < a | a^2, a^2 >, whose relator 1 copies relator 0
+    p = parse_presentation("< a, b | a b^-1, b^2, a^2 >")
+    out, moves = simplify(p)
+    assert moves[-1] == DropDuplicateRelator(1)
+    assert replay_moves(p, moves) == out
+    with pytest.raises(ValueError, match="replay mismatch dropping relator 0"):
+        replay_moves(p, moves[:-1] + [DropDuplicateRelator(0)])
 
 
 # -- Tietze soundness (abelian shadow) ---------------------------------------
