@@ -687,8 +687,11 @@ def derivation_to_certificate(p: Presentation, d: Derivation,
     """Inline a derivation chain into one certificate over p's relators.
 
     The expanded factor count is computed up front; chains whose expansion
-    exceeds max_factors raise NotFound rather than materializing.
+    exceeds max_factors raise NotFound rather than materializing.  Raises
+    ValueError when d does not verify over p.
     """
+    if not verify_derivation(p, d):
+        raise ValueError(f"derivation of {d.target} does not verify")
     nbase = len(p.relators)
     weight = [0] * len(d.steps)
     for k, step in enumerate(d.steps):
@@ -752,22 +755,6 @@ def check_equivalence(p1: Presentation, p2: Presentation,
     verified; missing ones are searched for by `derive_all` with
     state_budgets."""
     certs = certs or {}
-
-    def check(i: int, translated: Word) -> bool | None:
-        cert = certs.get(i)
-        if cert is None:
-            return None
-        return cert.target == translated and verify_certificate(p1, cert)
-    return _equivalence(p1, p2, dictionary, check, state_budgets)
-
-
-def _equivalence(p1: Presentation, p2: Presentation,
-                 dictionary: dict[str, Word], check,
-                 state_budgets: tuple[int, ...] = _STATE_BUDGETS) -> bool:
-    """`check_equivalence` with the witness of each relator i of p2 judged
-    by check(i, translated): True or False for the verdict of its
-    witness, None when there is none, in which case the translation is
-    searched for by `derive_all`."""
     images = {}  # each letter of p2's relators -> the letters of its image
     for g in {g for r in p2.relators for g in r.generators()}:
         if g not in dictionary:
@@ -780,13 +767,9 @@ def _equivalence(p1: Presentation, p2: Presentation,
         translated = _product(images[letter] for letter in r.letters)
         if translated.is_identity():
             continue
-        verdict = check(i, translated)
-        if verdict is None:
+        cert = certs.get(i)
+        if cert is None:
             missing.append(translated)
-        elif not verdict:
+        elif not (cert.target == translated and verify_certificate(p1, cert)):
             return False
-    if missing:
-        found = derive_all(p1, missing, state_budgets)
-        if len(found) != len(missing):
-            return False
-    return True
+    return len(derive_all(p1, missing, state_budgets)) == len(missing)

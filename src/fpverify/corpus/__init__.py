@@ -21,10 +21,14 @@ outlives its snapshot: the next call reads every file afresh, and sees
 an edit of the registry.
 
 A witness file is a JSON object keyed by indices in canonical decimal,
-each key once (`read_witnesses`).  `Scenario.witnesses` reads one with a
+each key once (`read_witnesses`).  A caller that knows the indices its
+scenario's claims name passes them, and the file must then hold exactly
+those: a replay and the corpus builder both do, so one rule decides
+which witnesses a file holds.  `Scenario.witnesses` reads one with a
 given reader: a replay passes `fpverify.checker`'s, which decode each
 witness into plain tuples, and `certificates` and `derivations` pass the
-`from_json` loaders.
+`from_json` loaders.  A scenario's loaders raise ValueError naming the
+scenario and the key when it names no file under that key.
 """
 
 from __future__ import annotations
@@ -65,9 +69,16 @@ class Scenario:
         the manifest; or the one message why the manifest is unreadable."""
         return self._snapshot.mismatches((REGISTRY, *self.files.values()))
 
+    def _file(self, key: str) -> str:
+        """The name of the file this scenario names under key; raises
+        ValueError naming the scenario and the key when it names none."""
+        if key not in self.files:
+            raise ValueError(f"scenario {self.id!r} names no {key!r} file")
+        return self.files[key]
+
     def presentation(self, key: str = "presentation",
                      convention: str = CONVENTION_DEFAULT) -> Presentation:
-        return self._snapshot.presentation(self.files[key], convention)
+        return self._snapshot.presentation(self._file(key), convention)
 
     def certificates(self, key: str = "certificates") -> dict[int, Certificate]:
         return self.witnesses(key, Certificate.from_json)
@@ -75,22 +86,25 @@ class Scenario:
     def derivations(self, key: str = "derivations") -> dict[int, Derivation]:
         return self.witnesses(key, Derivation.from_json)
 
-    def witnesses(self, key: str, read) -> dict:
+    def witnesses(self, key: str, read, indices=None) -> dict:
         """The frozen witness file under key as ``{index: read(doc)}``,
-        as `read_witnesses` reads it."""
-        name = self.files[key]
-        return read_witnesses(name, self._snapshot.data(name), read)
+        as `read_witnesses` reads it, holding exactly indices if given."""
+        name = self._file(key)
+        return read_witnesses(name, self._snapshot.data(name), read, indices)
 
 
-def read_witnesses(name: str, data: bytes, read) -> dict:
+def read_witnesses(name: str, data: bytes, read, indices=None) -> dict:
     """The witness file name, holding data, as ``{index: read(doc)}``.
 
     data must be a JSON object keyed by indices in canonical decimal
     (``str(int(k)) == k``, not negative), none of them repeated, so that
     each witness in the file is read and none is silently replaced by a
-    later one.  read takes one witness document, and raises ValueError
-    when it is malformed.  Every error is a ValueError naming the file,
-    and the key when there is one."""
+    later one.  Given indices, the ones its scenario's claims name, the
+    file must hold a witness for each of them and for no other, so that
+    no claim goes unwitnessed and no witness goes unchecked.  read takes
+    one witness document, and raises ValueError when it is malformed.
+    Every error is a ValueError naming the file, and the key when there
+    is one."""
     try:
         members = _members(data.decode("utf-8"))
     except ValueError as e:  # not UTF-8, not JSON, or not an object
@@ -110,6 +124,11 @@ def read_witnesses(name: str, data: bytes, read) -> dict:
             out[i] = read(doc)
         except ValueError as e:
             raise ValueError(f"{name}[{k!r}]: {e}") from None
+    if indices is not None and out.keys() != set(indices):
+        missing, extra = set(indices) - out.keys(), out.keys() - set(indices)
+        raise ValueError(f"{name}: must hold a witness for each index its "
+                         f"claims name and no other: missing "
+                         f"{sorted(missing)}, extra {sorted(extra)}")
     return out
 
 

@@ -397,6 +397,22 @@ def test_derivation_to_certificate():
     assert verify_certificate(p, cert)
 
 
+def test_derivation_to_certificate_refuses_a_false_chain():
+    # an empty chain derives only the identity, and a chain whose last
+    # step proves another word derives nothing: neither is inlined
+    p = parse_presentation("< a, b | a^2 >")
+    b = Word.gen("b")
+    with pytest.raises(ValueError, match="derivation of b does not verify"):
+        derivation_to_certificate(p, Derivation(b, ()))
+    step = Certificate(p.relators[0], (Factor(Word(), 0, 1),))
+    assert verify_certificate(p, step)
+    with pytest.raises(ValueError, match="derivation of b does not verify"):
+        derivation_to_certificate(p, Derivation(b, (step,)))
+    # the identity's empty chain is its empty certificate
+    assert derivation_to_certificate(p, Derivation(Word(), ())) \
+        == Certificate(Word(), ())
+
+
 def test_derivation_to_certificate_bounds():
     p = parse_presentation("< a, b | a b a^-1 b^-2, b a b^-1 a^-2 >")
     d = derive_by_collapse(p, Word.gen("a"))

@@ -172,6 +172,44 @@ def test_a_witness_under_a_repeated_index_is_rejected(corpus_copy, capsys):
     assert step.status == "fail"
 
 
+def _keyed_one(data):
+    return {"1": data["0"]}
+
+
+def _extra(key):
+    return lambda data: {**data, key: data["0"]}
+
+
+def _without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("scenario, name, edit, missing, extra", [
+    ("derive-gx2", "derive-gx2.certs.json", _keyed_one, [0], [1]),
+    ("derive-gx2", "derive-gx2.certs.json", _extra("7"), [], [7]),
+    ("elimination-y-w", "elimination-full-from-raw.certs.json",
+     _without("3"), [3], []),
+    ("elimination-y-w", "elimination-full-from-raw.certs.json",
+     _extra("99"), [], [99]),
+    ("redundancy-nine", "redundancy-nine.derivations.json",
+     _without("5"), [5], []),
+], ids=["gx2-keyed-1", "gx2-extra-7", "full-from-raw-without-3",
+        "full-from-raw-extra-99", "redundancy-without-5"])
+def test_a_witness_file_holds_exactly_the_indices_its_claims_name(
+        corpus_copy, capsys, scenario, name, edit, missing, extra):
+    # a missing witness would leave a claim unchecked, or be searched for
+    # live; an extra one would never be checked: both are input errors
+    # naming the file and the indices, and verify exits 2 with them
+    data = json.loads((corpus_copy / name).read_text())
+    repin(corpus_copy, name, json.dumps(edit(data)))
+    message = (f"{name}: must hold a witness for each index its claims "
+               f"name and no other: missing {missing}, extra {extra}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_scenario(scenario)
+    assert main(["verify", "--scenario", scenario]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_checksum_mismatch_detected(corpus_copy):
     target = corpus_copy / "pi1-N-reduced.grp"
     target.write_text(target.read_text().replace("q^-2", "q^-3"))
@@ -354,6 +392,22 @@ def test_a_registry_entry_without_a_description(corpus_copy, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["verify", "--all"]) == 2
     assert main(["parse", str(corpus_copy / "pi1-E0-tilde.grp")]) == 0
+
+
+def test_a_registry_entry_without_a_file_its_pipeline_reads(corpus_copy,
+                                                            capsys):
+    registry = corpus_copy / corpus.REGISTRY
+    entries = json.loads(registry.read_text())
+    entry = next(e for e in entries if e["id"] == "derive-gx2")
+    del entry["files"]["certificates"]
+    repin(corpus_copy, corpus.REGISTRY, json.dumps(entries))
+    message = "scenario 'derive-gx2' names no 'certificates' file"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corpus.load_scenario("derive-gx2").certificates()
+    assert main(["verify", "--scenario", "derive-gx2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ValueError, match="names no 'base' file"):
+        corpus.load_scenario("pi1-N-full").presentation("base")
 
 
 @pytest.mark.parametrize("text, error", [
@@ -577,6 +631,23 @@ def test_the_builder_refuses_a_witness_that_does_not_check(tmp_path,
             "conjugacy-x.certs.json['0']: does not prove its target")):
         build.main()
     assert (tmp_path / "conjugacy-x.certs.json").is_file()
+    assert not (tmp_path / corpus.MANIFEST).exists()
+
+
+def test_the_builder_refuses_a_witness_file_missing_an_index(tmp_path,
+                                                             monkeypatch):
+    # a search that proves all but one relator: the file the builder wrote
+    # breaks the replay's index rule, and no manifest pins it
+    build = load_builder(monkeypatch, tmp_path)
+    derive_all = build.derive_all
+    monkeypatch.setattr(build, "derive_all", lambda p, targets: {
+        i: c for i, c in derive_all(p, targets).items() if i != 3})
+    name = "elimination-full-from-raw.certs.json"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name}: must hold a witness for each index its claims name "
+            f"and no other: missing [3], extra []")):
+        build.main()
+    assert (tmp_path / name).is_file()
     assert not (tmp_path / corpus.MANIFEST).exists()
 
 

@@ -45,13 +45,14 @@ def test_report_time_includes_loading(monkeypatch):
 
 def test_redundancy_loads_its_chains_in_a_step_of_their_own():
     # parsing the frozen chains takes most of the scenario's set-up; the
-    # "indices" step after it only compares two lists
+    # relator steps after it time only their checks
     report = verify.run_scenario("redundancy-nine")
     assert report.status == "pass"
-    manifest, load, indices = report.steps[:3]
+    manifest, load, first = report.steps[:3]
     assert manifest.name == "manifest"
-    assert (load.name, indices.name) == ("load-derivations", "indices")
     expected = corpus.load_scenario("redundancy-nine").expected
+    assert (load.name, first.name) == (
+        "load-derivations", f"relator-{expected['certified_indices'][0]}")
     assert load.detail == {"chains": len(expected["certified_indices"])}
 
 
@@ -147,7 +148,7 @@ def test_a_failed_derivation_reports_its_error(monkeypatch):
 def frozen(witnesses: dict):
     """A stand-in for `Scenario.witnesses` that reads these witnesses'
     JSON documents, as a replay reads a frozen file."""
-    return lambda self, key, read: {
+    return lambda self, key, read, indices: {
         i: read(w.to_json()) for i, w in witnesses.items()}
 
 
@@ -179,6 +180,51 @@ def test_a_witness_for_another_word_fails_its_step(monkeypatch):
     for step in relators:
         assert (step.status, step.detail) == ("fail", {"steps_in_chain": 1})
     assert report.status == "fail"
+
+
+def test_equivalence_steps_report_the_certificates_they_check():
+    report = verify.run_scenario("elimination-y-w")
+    assert report.status == "pass"
+    for name in ("equivalence-forward", "equivalence-backward"):
+        step = next(x for x in report.steps if x.name == name)
+        assert step.detail == {"certificates": 17}
+
+
+def test_a_faulty_elimination_fails_only_its_own_step(monkeypatch):
+    # the frozen certificates are checked against the frozen
+    # presentations, not against what the elimination computed
+    monkeypatch.setattr(verify, "eliminate_generator",
+                        lambda p, gen: (p, None))
+    report = verify.run_scenario("elimination-y-w")
+    assert {x.name: x.status for x in report.steps} == {
+        "manifest": "pass", "eliminate": "fail",
+        "equivalence-forward": "pass", "equivalence-backward": "pass"}
+
+
+def test_gap_equivalence_steps_report_the_unproven(monkeypatch):
+    # a search that proves every target but the first, standing in for
+    # the full search of each direction
+    calls = []
+
+    def all_but_the_first(p, targets):
+        calls.append((p, targets))
+        return {i: Certificate(t, ()) for i, t in enumerate(targets) if i}
+
+    monkeypatch.setattr(verify, "derive_all", all_but_the_first)
+    report = verify.run_scenario("elimination-y-w", convention="gap")
+    s = corpus.load_scenario("elimination-y-w")
+    full = s.presentation("massaged", convention="gap")
+    # each relator of the massaged presentation over the live
+    # elimination's relators, then the other way round; the frozen
+    # eliminated file holds the default convention's words
+    (raw, forward), (backward_over, backward) = calls
+    assert (forward, backward_over) == (list(full.relators), full)
+    assert backward == list(raw.relators)
+    assert raw != s.presentation("eliminated", convention="gap")
+    for name in ("equivalence-forward", "equivalence-backward"):
+        step = next(x for x in report.steps if x.name == name)
+        assert (step.status, step.detail) == (
+            "fail", {"certificates": 16, "unproven": 1})
 
 
 def test_gap_certificate_steps_report_the_search():

@@ -9,10 +9,11 @@ the builder runs after a source is edited and before it pins the edit in
 the manifest, and `list_scenarios` parses the registry whether or not
 its bytes match.  A derived file is never copied, only recomputed, and
 each witness file is checked after it is written: its bytes are read back
-as a replay reads them (`fpverify.corpus.read_witnesses`) and every
-witness is checked by `fpverify.checker`, raising `BuildError` unless
-each proves its target.  No check is an `assert`, so `python -O` skips
-none.  A scenario's `expected` fields
+as a replay reads them (`fpverify.corpus.read_witnesses`), which raises
+ValueError unless the file holds exactly the indices the replay requires,
+and every witness is checked by `fpverify.checker`, raising `BuildError`
+unless each proves its target.  No check is an `assert`, so `python -O`
+skips none.  A scenario's `expected` fields
 choose its work, as they choose its pipeline in `fpverify.verify`:
 
 - `eliminate`: eliminate the listed generators, in order, from the union
@@ -108,13 +109,12 @@ def write_json(name: str, data) -> None:
 def freeze(name: str, witnesses: dict, read, check,
            over: dict[int, tuple[Presentation, Word]]) -> None:
     """Write witnesses to name, then read the written bytes back as a
-    replay does and check witness i with the checker's read and check
-    over over[i], a (presentation, target) pair."""
+    replay does, holding exactly the indices of over, and check witness i
+    with the checker's read and check over over[i], a (presentation,
+    target) pair."""
     write_json(name, {str(k): w.to_json() for k, w in witnesses.items()})
     written = read_witnesses(name, (CORPUS / name).read_bytes(),
-                             lambda doc: doc)
-    require(sorted(written) == sorted(over),
-            f"{name}: witnesses for {sorted(written)}, not {sorted(over)}")
+                             lambda doc: doc, over)
     for i, doc in written.items():
         p, target = over[i]
         alphabet = Alphabet(p.generators)
