@@ -259,14 +259,17 @@ def test_triviality_step_reports_compactions(capsys):
     # only the final renumbering: the run stops when coset 0's row closes,
     # before its dead cosets call for a compaction
     assert (detail["enumeration"]["index"], detail["compactions"]) == (1, 1)
+    # the enumeration runs over the first generator's cyclic subgroup
+    assert detail["subgroup"] == ["a"]
     # the live cosets when index 1 was proven, under each strategy
     # and the deductions taken from the queue and scanned
-    assert (detail["index_one_live"], detail["deductions"]) == (151, 111)
+    assert (detail["index_one_live"], detail["deductions"]) == (1, 120)
     code, detail = triviality_detail(capsys, "--strategy", "felsch")
     assert (code, detail["index_one_live"], detail["deductions"]) == (
-        0, 77, 1_457)
+        0, 38, 488)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
+    assert detail["subgroup"] == ["a"]
     assert "lookahead_passes" not in detail
     assert detail["index_one_live"] == 0
     # a limit hit reports how far the run got

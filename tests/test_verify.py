@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -5,16 +6,23 @@ import pytest
 
 import fpverify.corpus as corpus
 from fpverify import (
+    STRATEGIES,
     Certificate,
     Derivation,
     Factor,
     NotFound,
+    Presentation,
     Word,
+    enumerate_cosets,
+    homology_h1,
+    parse_presentation,
     run_all,
     verify,
     verify_certificate,
 )
 from fpverify.corpus import Scenario, list_scenarios
+
+from conftest import random_small_presentation
 
 
 def test_report_step_times_add_up_to_the_run():
@@ -258,3 +266,84 @@ def test_a_failed_step_reports_the_counters_of_its_not_found(monkeypatch):
     assert step.status == "fail"
     assert f"after {step.detail['states']} states" in step.detail["error"]
     assert step.detail["peak_heap"] >= 1
+
+
+def triviality(text: str, max_cosets: int = 1_000):
+    p = parse_presentation(text)
+    return verify._triviality(p, homology_h1(p), "hlt", max_cosets)
+
+
+def test_triviality_is_decided_over_the_first_generator():
+    # index 1 over <a> makes G cyclic, so G is trivial exactly when H1 is
+    status, detail = triviality("< a | a^5 >")
+    assert (status, detail["subgroup"], detail["enumeration"]["index"]) == (
+        "fail", ["a"], 1)
+    # an index above 1 proves G nontrivial: a failure, not a limit
+    status, detail = triviality("< a, b | a^2, b^3, (a b)^2 >")
+    assert (status, detail["subgroup"], detail["enumeration"]["index"]) == (
+        "fail", ["a"], 3)
+    # A5 is perfect: H1 is trivial, and only the index tells it from 1
+    status, detail = triviality("< a, b | a^2, b^3, (a b)^5 >")
+    assert (status, detail["enumeration"]["index"]) == ("fail", 30)
+    status, detail = triviality("< a, b | a b^-1, b^3 >")
+    assert (status, detail["enumeration"]["index"]) == ("fail", 1)
+    status, detail = triviality("< a, b | a b^-1, b >")
+    assert (status, detail["enumeration"]["index"]) == ("pass", 1)
+    # a limit decides nothing
+    status, detail = triviality("< a, b | a^2 >", max_cosets=50)
+    assert (status, detail["enumeration"]["status"]) == (
+        "limit", "LimitExceeded")
+    # no generators: the trivial subgroup, whose index is 1
+    p = Presentation([], [])
+    status, detail = verify._triviality(p, homology_h1(p), "hlt", 10)
+    assert (status, detail["subgroup"], detail["enumeration"]["index"]) == (
+        "pass", [], 1)
+
+
+def test_corpus_triviality_steps_name_their_subgroup():
+    for convention, scenario in (("default", "pi1-N-full"),
+                                 ("default", "pi1-N-reduced"),
+                                 ("gap", "pi1-N-full")):
+        report = verify.run_scenario(scenario, convention=convention)
+        assert report.status == "pass", (convention, scenario)
+        step = next(s for s in report.steps if s.name == "triviality")
+        assert step.detail["subgroup"] == ["a"]
+        assert step.detail["enumeration"]["index"] == 1
+    report = verify.run_scenario("pi1-N-reduced", convention="gap",
+                                 max_cosets=2_000)
+    step = next(s for s in report.steps if s.name == "triviality")
+    assert (report.status, step.status, step.detail["subgroup"]) == (
+        "limit", "limit", ["a"])
+    assert step.detail["enumeration"]["cosets_live_max"] == 2_000
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_triviality_over_the_first_generator_agrees_with_the_trivial_subgroup(
+        strategy):
+    # the route over <a> against enumeration over <1>, whenever both
+    # complete; a case where only one completes agrees with nothing
+    limit = 64
+    rng = random.Random(2)
+    cases = Counter()
+    for _ in range(150):
+        p = random_small_presentation(rng)
+        whole = enumerate_cosets(p, (), strategy=strategy, max_cosets=limit)
+        status, detail = verify._triviality(p, homology_h1(p), strategy,
+                                            limit)
+        cyclic = detail["enumeration"]
+        if not (whole.completed and cyclic["status"] == "Completed"):
+            cases["one-sided" if whole.completed or status != "limit"
+                  else "neither"] += 1
+            continue
+        assert (status == "pass") == (whole.index == 1), (p, whole.index,
+                                                          detail)
+        # [G : <a>] divides [G : 1] = |G|
+        assert whole.index % cyclic["index"] == 0, (p, whole.index, detail)
+        cases["agree"] += 1
+        if cyclic["index"] == 1 and whole.index > 1:
+            # cyclic but nontrivial: only H1 tells it from the trivial group
+            cases["cyclic-nontrivial"] += 1
+        cases["trivial" if whole.index == 1 else "nontrivial"] += 1
+    assert cases["agree"] >= 90 and cases["trivial"] >= 20, cases
+    assert cases["cyclic-nontrivial"] >= 30, cases
+    assert cases["nontrivial"] - cases["cyclic-nontrivial"] >= 15, cases
