@@ -73,16 +73,21 @@ scans nor its definitions push anything.  Felsch also pushes every
 definition and every deduction a fill scan closes.
 
 Index 1.  Every entry of the table and every merge is a valid deduction
-about the cosets of the subgroup H, so once each column's entry at coset
-0 is defined and lies in coset 0's class, every generator and inverse
-fixes H's coset: H = G and the index is 1, even with a coincidence
-cascade half done (Havas & Ramsay 2000; Holt-Eick-O'Brien ch. 5).  The
-driver stops there and keeps the table's one-row quotient instead of
-merging the rest of the cascade one coset at a time.  The cosets still
-live then are counted as coincidences, so the counts match those of the
-full cascade, and `EnumerationResult.index_one_live` records how many
-there were.  A table with a proof log runs every cascade to its end,
-since its proofs follow each merge.
+about the cosets of the subgroup H, so once each generator g has an
+entry at coset 0 in coset 0's class, in g's column or in g^-1's, every
+generator fixes H's coset (H g^-1 = H gives H g = H): H = G and the
+index is 1, even with a coincidence cascade half done (Havas & Ramsay
+2000; Holt-Eick-O'Brien ch. 5).  One column per generator is enough,
+which matters mid-cascade: a moved entry (gamma, x) that pointed at
+coset 0 and forced a merge leaves coset 0's entry in column x^-1 empty
+until the cascade ends.  After each dead coset it processes in coset
+0's class, a coincidence looks at coset 0's row; once the row is
+closed, the driver stops and keeps the table's one-row quotient instead
+of merging the rest of the cascade one coset at a time.  The cosets
+still live then are counted as coincidences, so the counts match those
+of the full cascade, and `EnumerationResult.index_one_live` records how
+many there were.  A table with a proof log runs every cascade to its
+end, since its proofs follow each merge.
 """
 
 from __future__ import annotations
@@ -270,9 +275,10 @@ class CosetTable:
         raising; the counts stay right (see the module docstring).
 
         Without a proof log, each processed dead coset whose class is now
-        coset 0's is followed by a look at coset 0's row: when every entry
-        there is defined and lies in coset 0's class, the index is 1 and
-        `_IndexOne` ends the cascade (see `_close_index_one`)."""
+        coset 0's is followed by a look at coset 0's row: when each
+        generator's entry there, or its inverse's, lies in coset 0's class,
+        the index is 1 and `_IndexOne` ends the cascade (see
+        `_row_zero_closed` and `_close_index_one`)."""
         p, log, table, deductions = self.p, self.log, self.table, self.deductions
         columns = [(x, table[x], table[x ^ 1]) for x in range(self.ncols)]
         if log is not None:
@@ -438,13 +444,17 @@ class CosetTable:
         return k
 
     def _row_zero_closed(self) -> bool:
-        """Whether every column's entry at coset 0 lies in coset 0's class,
-        read through `rep`, so stale entries of a cascade count."""
+        """Whether each generator's column or its inverse's has its entry
+        at coset 0 in coset 0's class, read through `rep`, so stale
+        entries of a cascade count."""
         rep = self.rep
-        for col in self.table:
-            beta = col[0]
+        table = self.table
+        for x in range(0, self.ncols, 2):
+            beta = table[x][0]
             if beta is None or rep(beta) != 0:
-                return False
+                beta = table[x + 1][0]
+                if beta is None or rep(beta) != 0:
+                    return False
         return True
 
     def _close_index_one(self) -> None:

@@ -16,14 +16,19 @@ Relations ``w = v`` are normalized to the relator ``w v^-1``; commutators
 are expanded according to the active convention; relators are stored
 cyclically reduced, with trivial ones dropped.
 
-Parsing is one pass, linear in the text: a word's terms are multiplied
-on one letter stack, and a presentation's generator names are checked as
-each name is read.  A parse error points at the offending token, and an
-error at the end of input just past the last token.  No word the parser
-builds may exceed ``MAX_WORD_LENGTH`` letters, once freely reduced; a
-power is checked before it is expanded, so one short line cannot exhaust
-memory.  Brackets, round and square, nest at most ``MAX_NESTING`` deep,
-so that the recursive descent never runs out of stack.
+Parsing is one pass, linear in the text.  The text is tokenized once,
+and the descent recurses only into brackets, round and square: a word's
+terms, each an atom and its power, are multiplied on one stack of
+integer letters (numbered as in `checker.Alphabet`), and a `Word` is
+built only for each relator and for the result of `parse_word`.  A
+presentation's generator names are checked as each name is read.  A
+parse error points at the offending token, and an error at the end of
+input just past the last token; a token's place in the text is worked
+out only for an error.  No word the parser builds may exceed
+``MAX_WORD_LENGTH`` letters, once freely reduced; a power is checked
+before it is expanded, so one short line cannot exhaust memory.
+Brackets nest at most ``MAX_NESTING`` deep, so that the recursive
+descent never runs out of stack.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import groupby, zip_longest
 from operator import itemgetter
+from string import ascii_letters
 
 from .checker import Alphabet, _fields, _list, read_word
 from .words import (
@@ -40,10 +46,8 @@ from .words import (
     CONVENTION_DEFAULT,
     GEN_NAME_RE,
     Word,
-    _multiply,
-    _reduced,
+    _commutator_factors,
     check_generator_name,
-    commutator,
 )
 
 
@@ -126,12 +130,22 @@ class Presentation:
         already checked and reduced, and is kept as it is; any other is
         checked, reduced or dropped as the constructor does."""
         own = {id(r) for r in self.relators}
+        cores = (r if id(r) in own else self._relator_core(r)
+                 for r in relators)
+        return Presentation._of(
+            self.generators, tuple(core for core in cores if core is not None),
+            self.name)
+
+    @staticmethod
+    def _of(generators: tuple[str, ...], relators: tuple[Word, ...],
+            name: str) -> "Presentation":
+        """A presentation of distinct checked generator names and of
+        relators over them, each cyclically reduced and not trivial;
+        nothing is checked."""
         q = object.__new__(Presentation)
-        object.__setattr__(q, "generators", self.generators)
-        object.__setattr__(q, "name", self.name)
-        cores = (r if id(r) in own else q._relator_core(r) for r in relators)
-        object.__setattr__(q, "relators", tuple(
-            core for core in cores if core is not None))
+        object.__setattr__(q, "generators", generators)
+        object.__setattr__(q, "name", name)
+        object.__setattr__(q, "relators", relators)
         return q
 
     def to_json(self) -> dict:
@@ -164,159 +178,221 @@ _PRESENTATION_FIELDS = itemgetter("name", "generators", "relators")
 
 # -- parsing ----------------------------------------------------------------
 
-# one token: whitespace and comments match no named group and are skipped,
-# and `bad` is any character no token starts with
-_TOKEN_RE = re.compile(
-    r"\s+|#[^\n]*"
-    r"|(?P<int>-?\d+)"
-    rf"|(?P<ident>{_GEN_NAME})"
-    r"|(?P<punct>[<>|,=^\[\]()])"
-    r"|(?P<bad>.)"
-)
+# one match per token, or per run of whitespace or a comment, which leaves
+# the group empty; a character no token starts with is a token of its own
+_TOKEN_RE = re.compile(rf"\s+|#[^\n]*|(-?\d+|{_GEN_NAME}|.)")
+
+# the one-character tokens besides digits
+_SINGLE_TOKENS = frozenset("<>|,=^[]()" + ascii_letters)
 
 # a `name:` header line, up to its newline
 _HEADER_RE = re.compile(r"^[^\S\n]*name:(.*)", re.MULTILINE)
 
 
+def _times(stack: list[int], word: list[int]) -> None:
+    """Multiply the freely reduced integer letters on stack, in place, by
+    the freely reduced word: only its head can cancel."""
+    j, n = 0, len(word)
+    while stack and j < n and stack[-1] == word[j] ^ 1:
+        stack.pop()
+        j += 1
+    stack.extend(word[j:] if j else word)
+
+
+def _inverse(word: list[int]) -> list[int]:
+    return [x ^ 1 for x in reversed(word)]
+
+
 class _Parser:
-    """Recursive descent over the tokens of one text.  A token is
-    (kind, value, offset); an error's line and column are computed from
-    its offset only when it is raised."""
+    """Recursive descent over the tokens of one text, which recurses only
+    into brackets.  A word is read term by term onto one stack of the
+    integer letters of `alphabet`, and becomes a `Word` only once it is a
+    relator or the parsed word.  A token is its text, "" at the end of
+    input; an error's offset, line and column are found only when it is
+    raised.  A token is a name when it starts with a letter, and an
+    integer when it starts with "-" or a digit."""
 
     def __init__(self, text: str, convention: str):
         self.text = text
-        self.tokens = [(m.lastgroup, m.group(), m.start())
-                       for m in _TOKEN_RE.finditer(text) if m.lastgroup]
-        for kind, value, offset in self.tokens:
-            if kind == "bad":
-                raise self.error(f"unexpected character {value!r}", offset)
-        # end of input sits just past the last token
-        _, value, offset = self.tokens[-1] if self.tokens else ("", "", 0)
-        self.tokens.append(("eof", "", offset + len(value)))
+        self.tokens = list(filter(None, _TOKEN_RE.findall(text)))
+        bad = [t for t in set(self.tokens) if len(t) == 1
+               and t not in _SINGLE_TOKENS and not t.isdecimal()]
+        if bad:
+            i = min(map(self.tokens.index, bad))
+            raise self.error(f"unexpected character {self.tokens[i]!r}", i)
+        self.tokens.append("")
         self.i = 0
         self.convention = convention
-        self.gens: set[str] | None = None  # the names an atom may use
-        self.depth = 0  # brackets open around the current atom
+        self.alphabet = Alphabet()
+        self.closed = False  # whether a name outside the alphabet is unknown
+        self.depth = 0  # brackets open around the current word
 
-    def error(self, message: str, offset: int) -> ParseError:
-        """A ParseError at offset into the text."""
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token i, or just past the last token for the
+        end of input."""
+        spans = [m.span() for m in _TOKEN_RE.finditer(self.text)
+                 if m.group(1)]
+        offset = (spans[i][0] if i < len(spans)
+                  else spans[-1][1] if spans else 0)
         return ParseError(message, self.text.count("\n", 0, offset) + 1,
                           offset - self.text.rfind("\n", 0, offset))
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def expect(self, value: str) -> None:
-        _, val, offset = self.next()
-        if val != value:
+        t = self.tokens[self.i]
+        if t != value:
             raise self.error(
-                f"expected {value!r}, got {val or 'end of input'!r}", offset)
+                f"expected {value!r}, got {t or 'end of input'!r}", self.i)
+        self.i += 1
 
     def parse_presentation(self, name: str) -> Presentation:
         self.expect("<")
-        self.gens = set()
+        self.closed = True
         gens = self._separated(self._generator)
         self.expect("|")
-        relators = ([] if self.peek()[1] == ">"
+        relators = ([] if self.tokens[self.i] == ">"
                     else self._separated(self._relation))
         self.expect(">")
-        if self.peek()[0] != "eof":
-            raise self.error("trailing input after presentation",
-                             self.peek()[2])
-        return Presentation(gens, relators, name=name)
+        if self.tokens[self.i]:
+            raise self.error("trailing input after presentation", self.i)
+        decode = self.alphabet.decode
+        return Presentation._of(
+            tuple(gens), tuple(decode(r) for r in relators if r), name)
 
     def parse_word(self) -> Word:
         w = self._word()
-        if self.peek()[0] != "eof":
-            raise self.error("trailing input after word", self.peek()[2])
-        return w
+        if self.tokens[self.i]:
+            raise self.error("trailing input after word", self.i)
+        return self.alphabet.decode(w)
 
     def _separated(self, item) -> list:
         """item() read once, and once more after each comma."""
         out = [item()]
-        while self.peek()[1] == ",":
+        while self.tokens[self.i] == ",":
             self.i += 1
             out.append(item())
         return out
 
     def _generator(self) -> str:
-        kind, val, offset = self.next()
-        if kind != "ident":
+        t = self.tokens[self.i]
+        if not t[:1].isalpha():
             raise self.error(
-                f"expected identifier, got {val or 'end of input'!r}", offset)
-        if val in self.gens:
-            raise self.error("duplicate generator name", offset)
-        self.gens.add(val)
-        return val
-
-    def _relation(self) -> Word:
-        left = self._word()
-        if self.peek()[1] != "=":
-            return left
-        offset = self.next()[2]
-        return self._bounded(left * self._word().inverse(), offset)
-
-    def _word(self) -> Word:
-        if self.peek()[1] == "1":
-            self.i += 1
-            return Word.identity()
-        stack = list(self._term().letters)
-        while True:
-            kind, val, offset = self.peek()
-            if kind != "ident" and val not in ("[", "("):
-                return _reduced(tuple(stack))
-            _multiply(stack, (self._term().letters,))
-            self._bounded(stack, offset)
-
-    def _term(self) -> Word:
-        atom = self._atom()
-        if self.peek()[1] != "^":
-            return atom
+                f"expected identifier, got {t or 'end of input'!r}", self.i)
+        if t in self.alphabet.codes:
+            raise self.error("duplicate generator name", self.i)
+        self.alphabet.add(t)
         self.i += 1
-        kind, val, offset = self.next()
-        if kind != "int":
-            raise self.error(f"expected integer exponent, got "
-                             f"{val or 'end of input'!r}", offset)
+        return t
+
+    def _relation(self) -> list[int]:
+        """The integer letters of the next relation's relator, cyclically
+        reduced."""
+        w = self._word()
+        at = self.i
+        if self.tokens[at] == "=":
+            self.i += 1
+            _times(w, _inverse(self._word()))
+            if len(w) > MAX_WORD_LENGTH:
+                raise self._too_long(at)
+        k, n = 0, len(w)
+        while n - 2 * k >= 2 and w[k] == w[n - 1 - k] ^ 1:
+            k += 1
+        return w[k:n - k]
+
+    def _too_long(self, i: int) -> ParseError:
+        """The error for a word longer than MAX_WORD_LENGTH letters, built
+        by the term, commutator or relation at token i."""
+        return self.error(f"word longer than {MAX_WORD_LENGTH} letters", i)
+
+    def _word(self) -> list[int]:
+        """The integer letters of the word at the current token, freely
+        reduced: each term, an atom and its power, is multiplied onto one
+        stack as it is read."""
+        tokens = self.tokens
+        i = self.i
+        if tokens[i] == "1":
+            self.i = i + 1
+            return []
+        codes = self.alphabet.codes
+        stack: list[int] = []
+        pop, push = stack.pop, stack.append
+        first = i
+        while True:
+            term, t = i, tokens[i]
+            x = codes.get(t)
+            atom = None  # a bracket's letters; x is a name's letter
+            if x is not None:
+                i += 1
+            elif t == "[" or t == "(":
+                self.i = i
+                atom = self._bracket()
+                i = self.i
+            elif t[:1].isalpha():
+                if self.closed:
+                    raise self.error(f"unknown generator {t!r}", i)
+                x = self.alphabet.add(t)
+                i += 1
+            elif i == first:
+                raise self.error(
+                    f"expected word atom, got {t or 'end of input'!r}", i)
+            else:
+                self.i = i
+                return stack
+            if tokens[i] != "^":
+                if atom is not None:
+                    _times(stack, atom)
+                elif stack and stack[-1] == x ^ 1:
+                    pop()
+                else:
+                    push(x)
+            else:
+                if atom is None:
+                    atom = [x]
+                n = self._exponent(i + 1, len(atom))
+                i += 2
+                if n < 0:
+                    atom, n = _inverse(atom), -n
+                # n may be huge only for the empty atom
+                for _ in range(n if atom else 0):
+                    _times(stack, atom)
+            if len(stack) > MAX_WORD_LENGTH:
+                raise self._too_long(term)
+
+    def _exponent(self, i: int, size: int) -> int:
+        """The integer at token i, the exponent of a size-letter atom, if
+        the power is at most MAX_WORD_LENGTH letters long."""
+        e = self.tokens[i]
+        if not (e[:1] == "-" or e[:1].isdecimal()):
+            raise self.error(
+                f"expected integer exponent, got {e or 'end of input'!r}", i)
         try:
-            n = int(val)
+            n = int(e)
         except ValueError:  # more digits than int() converts
             n = None
-        if n is None or len(atom) * abs(n) > MAX_WORD_LENGTH:
-            raise self.error(f"exponent expands a {len(atom)}-letter word "
-                             f"past {MAX_WORD_LENGTH} letters", offset)
-        return atom ** n
+        if n is None or size * abs(n) > MAX_WORD_LENGTH:
+            raise self.error(f"exponent expands a {size}-letter word past "
+                             f"{MAX_WORD_LENGTH} letters", i)
+        return n
 
-    def _bounded(self, w, offset: int):
-        """w, a word or a letter stack, unless it is longer than
-        MAX_WORD_LENGTH letters."""
-        if len(w) > MAX_WORD_LENGTH:
-            raise self.error(f"word longer than {MAX_WORD_LENGTH} letters",
-                             offset)
-        return w
-
-    def _atom(self) -> Word:
-        kind, val, offset = self.next()
-        if kind == "ident":
-            if self.gens is not None and val not in self.gens:
-                raise self.error(f"unknown generator {val!r}", offset)
-            return _reduced(((val, 1),))
-        if val not in ("[", "("):
-            raise self.error(
-                f"expected word atom, got {val or 'end of input'!r}", offset)
+    def _bracket(self) -> list[int]:
+        """The integer letters of the bracket at the current token, a
+        commutator or a word in parentheses."""
+        at = self.i
+        bracket = self.tokens[at]
         if self.depth == MAX_NESTING:
             raise self.error(
-                f"brackets nested more than {MAX_NESTING} deep", offset)
+                f"brackets nested more than {MAX_NESTING} deep", at)
         self.depth += 1
+        self.i += 1
         w = self._word()
-        if val == "[":
+        if bracket == "[":
             self.expect(",")
-            w = self._bounded(commutator(w, self._word(), self.convention),
-                              offset)
+            u, v = w, self._word()
+            w = []
+            for f in _commutator_factors(u, v, _inverse(u), _inverse(v),
+                                         self.convention):
+                _times(w, f)
+            if len(w) > MAX_WORD_LENGTH:
+                raise self._too_long(at)
             self.expect("]")
         else:
             self.expect(")")

@@ -241,10 +241,17 @@ def _run_elimination_scenario(s: Scenario, steps: _Steps, convention: str,
     current = union
     for gen in s.expected["eliminate"]:
         current, _ = eliminate_generator(current, gen)
-    steps.check("eliminate",
-                current == frozen_raw,
-                generators=list(current.generators),
-                relators=len(current.relators))
+    ok = current == frozen_raw
+    detail = {"generators": list(current.generators),
+              "relators": len(current.relators)}
+    if not ok:
+        # the relators that differ, as printed words
+        live, frozen = set(current.relators), set(frozen_raw.relators)
+        detail["live_only"] = [str(r) for r in current.relators
+                               if r not in frozen]
+        detail["frozen_only"] = [str(r) for r in frozen_raw.relators
+                                 if r not in live]
+    steps.check("eliminate", ok, **detail)
 
     # each relator of p2 must be a consequence of p1's
     def equivalence(key: str, p1: Presentation, p2: Presentation):

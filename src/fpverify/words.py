@@ -11,11 +11,11 @@ which check exponents and reduce in full; JSON words are read by
 invariant that every ``Word`` is already reduced: in a product ``u * v``
 only the seam between u's tail and v's head can cancel, so ``*``,
 ``inverse`` and ``conjugated_by`` cancel at the seam (or not at all) and
-wrap the result without another pass over its letters.  ``_multiply``
-does the same in place on a letter stack for a whole sequence of reduced
-letter tuples, and ``_product`` wraps its result; they take letters, not
-words, so a caller can feed them the inverse of a word, or a relator,
-without wrapping either in a ``Word``.
+wrap the result without another pass over its letters.  ``_product``
+does the same on one letter stack for a whole sequence of reduced letter
+tuples; it takes letters, not words, so a caller can feed it the inverse
+of a word, or a relator, without wrapping either in a ``Word``.  The
+parser multiplies on a stack of its own, of integer letters.
 """
 
 from __future__ import annotations
@@ -202,10 +202,11 @@ def _reduced(letters: tuple[Letter, ...]) -> Word:
     return w
 
 
-def _multiply(stack: list[Letter], seqs: Iterable[Sequence[Letter]]) -> None:
-    """Multiply the freely reduced letters on stack, in place, by each of
-    the freely reduced sequences seqs in turn: each cancels against the
-    stack only at its head, and the rest of it is pushed whole."""
+def _product(seqs: Iterable[Sequence[Letter]]) -> Word:
+    """Free reduction of the product of freely reduced letter sequences, in
+    one stack pass: each cancels against the stack only at its head, and
+    the rest of it is pushed whole."""
+    stack: list[Letter] = []
     pop = stack.pop
     for b in seqs:
         j = 0
@@ -215,13 +216,6 @@ def _multiply(stack: list[Letter], seqs: Iterable[Sequence[Letter]]) -> None:
             pop()
             j += 1
         stack.extend(b[j:] if j else b)
-
-
-def _product(seqs: Iterable[Sequence[Letter]]) -> Word:
-    """Free reduction of the product of freely reduced letter sequences, in
-    one stack pass."""
-    stack: list[Letter] = []
-    _multiply(stack, seqs)
     return _reduced(tuple(stack))
 
 
@@ -242,13 +236,21 @@ def conjugate(w: Word, u: Word) -> Word:
     return w.conjugated_by(u)
 
 
+def _commutator_factors(u, v, u_inv, v_inv, convention: str) -> tuple:
+    """u, v and their inverses in the order [u, v] multiplies them under
+    the convention; they may be words or letter sequences."""
+    if convention == CONVENTION_DEFAULT:
+        return u, v, u_inv, v_inv
+    if convention == CONVENTION_GAP:
+        return u_inv, v_inv, u, v
+    raise ValueError(f"unknown commutator convention: {convention!r}")
+
+
 def commutator(u: Word, v: Word, convention: str = CONVENTION_DEFAULT) -> Word:
     """[u, v] under the chosen expansion convention."""
-    if convention == CONVENTION_DEFAULT:
-        return u * v * u.inverse() * v.inverse()
-    if convention == CONVENTION_GAP:
-        return u.inverse() * v.inverse() * u * v
-    raise ValueError(f"unknown commutator convention: {convention!r}")
+    a, b, c, d = _commutator_factors(u, v, u.inverse(), v.inverse(),
+                                     convention)
+    return a * b * c * d
 
 
 def substitute(w: Word, gen: str, replacement: Word) -> Word:

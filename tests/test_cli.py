@@ -263,10 +263,10 @@ def test_triviality_step_reports_compactions(capsys):
     assert detail["subgroup"] == ["a"]
     # the live cosets when index 1 was proven, under each strategy
     # and the deductions taken from the queue and scanned
-    assert (detail["index_one_live"], detail["deductions"]) == (1, 120)
+    assert (detail["index_one_live"], detail["deductions"]) == (500, 120)
     code, detail = triviality_detail(capsys, "--strategy", "felsch")
     assert (code, detail["index_one_live"], detail["deductions"]) == (
-        0, 38, 488)
+        0, 104, 488)
     code, detail = triviality_detail(capsys, "--max-cosets", "100")
     assert code == 3
     assert detail["subgroup"] == ["a"]

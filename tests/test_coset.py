@@ -241,26 +241,46 @@ def test_felsch_compacts_during_the_run():
 
 
 def test_a_partly_closed_row_does_not_stop_the_run(monkeypatch):
-    # coset 0's row closes in some columns but not in all: a is trivial in
-    # the first group, and <a^3> = <a> fixes one of S3's three points
+    # coset 0's row closes for a but not for b: a is trivial in the first
+    # group, and <a> and <a^3> = <a> fix one of S3's three points; the run
+    # over <a> merges no cosets
     looks = []
     row_zero_closed = CosetTable._row_zero_closed
 
     def spy(ct):
-        looks.append(row_zero_closed(ct))
-        return looks[-1]
+        a_fixed = any(ct.table[x][0] is not None and ct.rep(ct.table[x][0]) == 0
+                      for x in (0, 1))
+        looks.append((row_zero_closed(ct), a_fixed))
+        return looks[-1][0]
 
     monkeypatch.setattr(CosetTable, "_row_zero_closed", spy)
+    s3 = "< a, b | a^2, b^3, (a b)^2 >"
     cases = [("< a, b | a, b^3 >", ()),
-             ("< a, b | a^2, b^3, (a b)^2 >", (Word.gen("a", 3),))]
+             (s3, (Word.gen("a"),)),
+             (s3, (Word.gen("a", 3),))]
     for text, subgroup in cases:
         for strategy in STRATEGIES:
             result = enumerate_cosets(parse_presentation(text), subgroup,
                                       strategy=strategy)
             assert result.completed and result.index == 3, (text, strategy)
             assert result.index_one_live == 0
-    # the row was looked at, and found open, every time
-    assert looks and not any(looks)
+    # the row was looked at after the coincidences of the first and the
+    # last case, always with a fixing coset 0, and found open every time
+    assert len(looks) == 5
+    assert all(a_fixed and not closed for closed, a_fixed in looks)
+
+
+@pytest.mark.parametrize("subgroup", ["", "a"], ids=["trivial", "a"])
+def test_pi1_N_full_stops_mid_cascade(subgroup):
+    # one entry per generator at coset 0, its own or its inverse's, in
+    # coset 0's class proves index 1: a moved entry that cleared the other
+    # one does not make the run wait for the cascade's end
+    p = load_corpus_presentation("pi1-N-full.grp")
+    for strategy in STRATEGIES:
+        result = enumerate_cosets(p, [Word.gen(g) for g in subgroup],
+                                  strategy=strategy)
+        assert result.completed and result.index == 1
+        assert result.index_one_live > 1, strategy
 
 
 @pytest.mark.parametrize("text, subgroup", [
@@ -341,14 +361,14 @@ def test_felsch_completes_where_hlt_stops(text, limit, index, hlt_defined,
 MOVED_ENTRY_CASES = [
     # strategy, convention, file, defined, live_max, index_one_live,
     # deductions
-    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 1_340, 1_307, 151, 111),
+    ("hlt", CONVENTION_DEFAULT, "pi1-N-full.grp", 1_340, 1_307, 342, 111),
     ("hlt", CONVENTION_DEFAULT, "pi1-N-reduced.grp",
-     8_954, 8_610, 5_064, 978),
-    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 7_685, 7_395, 4_654, 1_949),
-    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 77, 1_457),
+     8_954, 8_610, 5_330, 978),
+    ("hlt", CONVENTION_GAP, "pi1-N-full.grp", 7_685, 7_395, 4_823, 1_949),
+    ("felsch", CONVENTION_DEFAULT, "pi1-N-full.grp", 877, 733, 411, 1_457),
     ("felsch", CONVENTION_DEFAULT, "pi1-N-reduced.grp",
-     17_068, 16_657, 14_783, 24_548),
-    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_254, 5_197),
+     17_068, 16_657, 15_093, 24_548),
+    ("felsch", CONVENTION_GAP, "pi1-N-full.grp", 3_154, 2_881, 1_550, 5_197),
 ]
 
 

@@ -22,7 +22,7 @@ from fpverify import (
     simplify,
 )
 from fpverify.corpus import list_scenarios, load_corpus_presentation
-from fpverify.words import CONVENTIONS
+from fpverify.words import CONVENTIONS, commutator
 from fpverify.presentation import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
@@ -223,6 +223,57 @@ def test_round_trip_corpus():
             if name.endswith(".grp"):
                 p = load_corpus_presentation(name)
                 assert parse_presentation(print_presentation(p)) == p
+
+
+def random_expression(rng: random.Random, convention: str,
+                      depth: int = 0) -> tuple[str, Word]:
+    """A random word's text in the grammar, with powers, commutators and
+    parentheses nested up to four deep, and its value by Word arithmetic."""
+    if rng.random() < 0.05:
+        return "1", Word.identity()
+    text, value = [], Word.identity()
+    for _ in range(rng.randint(1, 3)):
+        r = rng.random()
+        if depth >= 4 or r < 0.5:
+            g = rng.choice("abc")
+            atom, w = g, Word.gen(g)
+        elif r < 0.8:
+            (tu, u), (tv, v) = (random_expression(rng, convention, depth + 1)
+                                for _ in range(2))
+            atom, w = f"[{tu}, {tv}]", commutator(u, v, convention)
+        else:
+            t, w = random_expression(rng, convention, depth + 1)
+            atom = f"({t})"
+        if rng.random() < 0.4:
+            n = rng.randint(-4, 4)
+            atom, w = f"{atom}^{n}", w ** n
+        text.append(atom)
+        value = value * w
+    return " ".join(text), value
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_parsing_agrees_with_word_arithmetic(convention):
+    # each expression parsed, and evaluated by Word's *, ** and commutator
+    rng = random.Random(7)
+    for _ in range(300):
+        text, value = random_expression(rng, convention)
+        assert parse_word(text, convention=convention) == value, text
+        # relators, the last a relation u = v, in a presentation
+        (tr, r), (tu, u), (tv, v) = (random_expression(rng, convention)
+                                     for _ in range(3))
+        text = f"< a, b, c | {tr}, {tu} = {tv} >"
+        assert parse_presentation(text, convention=convention) == \
+            Presentation("abc", [r, u * v.inverse()]), text
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_corpus_texts_and_their_printed_forms_parse_alike(convention):
+    for name in sorted({name for s in list_scenarios()
+                        for name in s.files.values() if name.endswith(".grp")}):
+        p = load_corpus_presentation(name, convention=convention)
+        assert parse_presentation(print_presentation(p),
+                                  convention=convention) == p, name
 
 
 def test_eliminate_simple():

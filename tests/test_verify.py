@@ -16,6 +16,7 @@ from fpverify import (
     enumerate_cosets,
     homology_h1,
     parse_presentation,
+    parse_word,
     run_all,
     verify,
     verify_certificate,
@@ -233,6 +234,35 @@ def test_gap_equivalence_steps_report_the_unproven(monkeypatch):
         step = next(x for x in report.steps if x.name == name)
         assert (step.status, step.detail) == (
             "fail", {"certificates": 16, "unproven": 1})
+
+
+def test_a_failed_elimination_names_the_relators_that_differ(monkeypatch):
+    # under the GAP convention the live elimination differs from the
+    # frozen file, which holds the default convention's words; the
+    # search is stubbed, as only the eliminate step is looked at
+    monkeypatch.setattr(verify, "derive_all", lambda p, targets: {})
+    s = corpus.load_scenario("elimination-y-w")
+    frozen = s.presentation("eliminated", convention="gap")
+    report = verify.run_scenario("elimination-y-w", convention="gap")
+    step = next(x for x in report.steps if x.name == "eliminate")
+    assert step.status == "fail"
+    live = [parse_word(w, convention="gap") for w in step.detail["live_only"]]
+    gone = [parse_word(w, convention="gap")
+            for w in step.detail["frozen_only"]]
+    assert live and gone
+    assert not set(live) & set(frozen.relators)
+    assert set(gone) <= set(frozen.relators)
+    # the frozen relators the live elimination also found, and those
+    # named, are all of them
+    kept = [r for r in frozen.relators if r not in gone]
+    assert len(kept) + len(gone) == len(frozen.relators)
+    assert step.detail["relators"] == len(kept) + len(live)
+    # a passing step's detail holds no lists of differences
+    report = verify.run_scenario("elimination-y-w")
+    step = next(x for x in report.steps if x.name == "eliminate")
+    assert step.status == "pass"
+    assert step.detail == {"generators": list(frozen.generators),
+                           "relators": len(frozen.relators)}
 
 
 def test_gap_certificate_steps_report_the_search():
